@@ -75,7 +75,9 @@ from repro.netlist.lutcircuit import LutCircuit
 #: v4: the options block records the batched-core flags.
 #: v5: the options block records the router-lookahead and
 #: partial-rip-up flags.
-RECORD_SCHEMA_VERSION = 5
+#: v6: the options block drops the batched-placer flag (the batched
+#: annealer is gone).
+RECORD_SCHEMA_VERSION = 6
 
 #: Version of the summary / baseline envelope.
 SUMMARY_SCHEMA_VERSION = 1
@@ -109,8 +111,6 @@ class CampaignVariant:
     #: against its own trend series, not bit-identical to the
     #: default core).
     batched_router: bool = False
-    #: Anneal placements with the batched-move engine.
-    batched_placer: bool = False
     #: Route with the precomputed lookahead heuristic (QoR-gated
     #: against its own trend series: tighter lower bounds change
     #: tie-breaks against the Manhattan default).
@@ -149,7 +149,6 @@ class CampaignSpec:
             criticality_exponent=variant.criticality_exponent,
             timing_tradeoff=variant.timing_tradeoff,
             batched_router=variant.batched_router,
-            batched_placer=variant.batched_placer,
             router_lookahead=variant.router_lookahead,
             partial_ripup=variant.partial_ripup,
         )
@@ -176,28 +175,24 @@ PRESETS: Dict[str, CampaignSpec] = {
         variants=(_WIRELENGTH, _TIMING),
     ),
     # The batched-core twin of ci-smoke: same pairs, routed with the
-    # batched-wavefront PathFinder and placed with the batched-move
-    # annealer.  The cores are QoR-equivalent, not bit-identical, so
-    # nightly tracks this as its own trend series instead of diffing
-    # it against the default cores' baseline.
+    # batched-wavefront PathFinder.  The cores are QoR-equivalent, not
+    # bit-identical, so nightly tracks this as its own trend series
+    # instead of diffing it against the default core's baseline.
     "ci-smoke-batched": CampaignSpec(
         name="ci-smoke-batched",
         description=(
-            "ci-smoke pairs through the batched router and batched "
-            "annealer (their own nightly trend series)"
+            "ci-smoke pairs through the batched router (its own "
+            "nightly trend series)"
         ),
         suites=("datapath", "fsm", "xbar", "klut"),
         scale="tiny",
         pairs_per_suite=2,
         inner_num=0.1,
         variants=(
-            CampaignVariant(
-                "wirelength-batched",
-                batched_router=True, batched_placer=True,
-            ),
+            CampaignVariant("wirelength-batched", batched_router=True),
             CampaignVariant(
                 "timing-batched", timing_driven=True,
-                batched_router=True, batched_placer=True,
+                batched_router=True,
             ),
         ),
     ),
@@ -416,7 +411,6 @@ def _extract_payload(
             ),
             "timing_tradeoff": _round(options.timing_tradeoff),
             "batched_router": options.batched_router,
-            "batched_placer": options.batched_placer,
             "router_lookahead": options.router_lookahead,
             "partial_ripup": options.partial_ripup,
         },

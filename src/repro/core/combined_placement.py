@@ -27,6 +27,7 @@ cells (topology fixed).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -35,18 +36,9 @@ from repro.core.merge import MergeStrategy, merge_from_placement
 from repro.core.tunable import TunableCircuit
 from repro.netlist.lutcircuit import LutCircuit
 from repro.place.annealing import AnnealingSchedule, AnnealingStats, anneal
-from repro.place.cost import net_bounding_box_cost, q_factor
-from repro.place.placer import (
-    Net,
-    PlacementTimingMixin,
-    circuit_nets,
-    pad_cell,
-)
+from repro.place.placer import circuit_nets, pad_cell
+from repro.place.state import Move, PlacementState
 from repro.utils.rng import make_rng
-
-# Cell keys: ("b", mode, block_name) for per-mode blocks,
-#            ("p", pad_cell_name) for shared IO pads.
-CellKey = Tuple
 
 
 @dataclass
@@ -62,8 +54,14 @@ class CombinedPlacementResult:
     stats: Optional[AnnealingStats] = None
 
 
-class CombinedPlacementProblem(PlacementTimingMixin):
+class CombinedPlacementProblem(PlacementState):
     """Annealing problem placing all modes at once.
+
+    Cells are numbered every mode's blocks first (``block_names``,
+    mode by mode), then the IO pads the modes share (``pad_names``).
+    A block of mode *m* occupies layer *m* of the occupancy
+    (:mod:`repro.place.state`), so a block move swaps only with a
+    block of its own mode; pads all sit in layer 0.
 
     *timing* (a :class:`~repro.timing.criticality.CriticalityConfig`)
     adds the criticality-weighted connection-delay term to the
@@ -92,7 +90,7 @@ class CombinedPlacementProblem(PlacementTimingMixin):
                 "timing-driven combined placement requires the "
                 "wire-length strategy"
             )
-        self.arch = arch
+        self._init_sites(arch)
         self.circuits = list(mode_circuits)
         self.n_modes = len(self.circuits)
         self.strategy = strategy
@@ -101,389 +99,192 @@ class CombinedPlacementProblem(PlacementTimingMixin):
         ]
 
         # -- cells ---------------------------------------------------------
-        self.block_keys: List[CellKey] = []
-        for mode, circuit in enumerate(self.circuits):
-            for block in circuit.blocks:
-                self.block_keys.append(("b", mode, block))
-        pad_modes: Dict[str, Set[int]] = {}
-        for mode, circuit in enumerate(self.circuits):
-            for signal in list(circuit.inputs) + list(circuit.outputs):
-                pad_modes.setdefault(pad_cell(signal), set()).add(mode)
-        self.pad_keys: List[CellKey] = [
-            ("p", cell) for cell in sorted(pad_modes)
+        self.block_names: List[Tuple[int, str]] = [
+            (mode, block)
+            for mode, circuit in enumerate(self.circuits)
+            for block in circuit.blocks
         ]
-        self.pad_modes = pad_modes
-
-        clb_sites = arch.clb_sites()
-        pad_sites = arch.pad_sites()
-        max_blocks = max(
-            len(c.blocks) for c in self.circuits
-        )
-        if max_blocks > len(clb_sites):
+        self.pad_names: List[str] = sorted({
+            pad_cell(signal)
+            for circuit in self.circuits
+            for signal in list(circuit.inputs) + list(circuit.outputs)
+        })
+        n_blocks = len(self.block_names)
+        self._block_id = {
+            key: i for i, key in enumerate(self.block_names)
+        }
+        self._pad_id = {
+            name: n_blocks + j for j, name in enumerate(self.pad_names)
+        }
+        self.logic_pool = list(range(n_blocks))
+        self.pad_pool = list(range(n_blocks, n_blocks + len(self._pad_id)))
+        max_blocks = max(len(c.blocks) for c in self.circuits)
+        if max_blocks > self.n_clb:
             raise ValueError("largest mode does not fit the grid")
-        if len(self.pad_keys) > len(pad_sites):
+        if len(self.pad_pool) > self.n_sites - self.n_clb:
             raise ValueError("IO pads do not fit the perimeter")
 
         # -- initial placement (random, legal) --------------------------------
-        self.site_of: Dict[CellKey, Site] = {}
-        self.block_at: Dict[Tuple[int, Site], CellKey] = {}
+        site_of = [-1] * (n_blocks + len(self.pad_pool))
         for mode, circuit in enumerate(self.circuits):
-            shuffled = list(clb_sites)
-            rng.shuffle(shuffled)
+            shuffled = self._shuffled(rng, False)
             for block, site in zip(sorted(circuit.blocks), shuffled):
-                key = ("b", mode, block)
-                self.site_of[key] = site
-                self.block_at[(mode, site)] = key
-        shuffled_pads = list(pad_sites)
-        rng.shuffle(shuffled_pads)
-        self.pad_at: Dict[Site, CellKey] = {}
-        for key, site in zip(self.pad_keys, shuffled_pads):
-            self.site_of[key] = site
-            self.pad_at[site] = key
-
-        self.clb_sites = clb_sites
-        self.all_pad_sites = pad_sites
-
-        # -- nets (for wire-length cost and reporting) ------------------------
-        self.mode_nets: List[Tuple[int, Net]] = []
-        for mode, circuit in enumerate(self.circuits):
-            for net in circuit_nets(circuit):
-                self.mode_nets.append((mode, net))
-        self.nets_of_cell: Dict[CellKey, List[int]] = {}
-        for i, (mode, net) in enumerate(self.mode_nets):
-            for cell in net.cells:
-                key = self._cell_key(mode, cell)
-                self.nets_of_cell.setdefault(key, []).append(i)
-        # Cell keys per net, resolved once: the signal->key mapping is
-        # placement-independent and _compute_net_cost is the move
-        # loop's hottest callee.
-        self._net_keys: List[List[CellKey]] = [
-            [self._cell_key(mode, cell) for cell in net.cells]
-            for mode, net in self.mode_nets
-        ]
-        self.net_cost: List[float] = [
-            self._compute_net_cost(i) for i in range(len(self.mode_nets))
-        ]
+                site_of[self._block_id[(mode, block)]] = site
+        for cell, site in zip(self.pad_pool, self._shuffled(rng, True)):
+            site_of[cell] = site
+        self._init_state(
+            site_of,
+            [
+                [self._cell_id(mode, cell) for cell in net.cells]
+                for mode, circuit in enumerate(self.circuits)
+                for net in circuit_nets(circuit)
+            ],
+            n_layers=self.n_modes,
+            layer_base=[
+                mode * self.n_sites for mode, _ in self.block_names
+            ] + [0] * len(self.pad_pool),
+        )
 
         # -- connections (for edge-matching cost) -----------------------------
-        # Per mode, cell-level connections as (src key, sink key).
-        self.mode_conns: List[Tuple[int, CellKey, CellKey]] = []
+        # Per mode, cell-level connections (source cell, sink cell).
+        self.conn_src: List[int] = []
+        self.conn_snk: List[int] = []
         for mode, circuit in enumerate(self.circuits):
             for block in circuit.blocks.values():
-                sink = ("b", mode, block.name)
+                sink = self._block_id[(mode, block.name)]
                 for src in block.inputs:
-                    self.mode_conns.append(
-                        (mode, self._cell_key(mode, src), sink)
-                    )
+                    self.conn_src.append(self._cell_id(mode, src))
+                    self.conn_snk.append(sink)
             for out in circuit.outputs:
-                self.mode_conns.append(
-                    (
-                        mode,
-                        self._cell_key(mode, out),
-                        ("p", pad_cell(out)),
-                    )
-                )
-        self.conns_of_cell: Dict[CellKey, List[int]] = {}
-        for i, (_mode, src, sink) in enumerate(self.mode_conns):
-            self.conns_of_cell.setdefault(src, []).append(i)
+                self.conn_src.append(self._cell_id(mode, out))
+                self.conn_snk.append(self._pad_id[pad_cell(out)])
+        self.conns_of_cell: List[List[int]] = [[] for _ in site_of]
+        for i, (src, sink) in enumerate(zip(self.conn_src, self.conn_snk)):
+            self.conns_of_cell[src].append(i)
             if sink != src:
-                self.conns_of_cell.setdefault(sink, []).append(i)
-        # Multiset of site-level connection endpoints, plus a cache of
-        # each connection's current key (commit needs the pre-move key
-        # to decrement the right counter entry).
-        self.conn_counter: Dict[Tuple, int] = {}
-        self._conn_keys: Dict[int, Tuple] = {}
-        for i in range(len(self.mode_conns)):
-            key = self._conn_site_key(i)
-            self.conn_counter[key] = self.conn_counter.get(key, 0) + 1
-            self._conn_keys[i] = key
+                self.conns_of_cell[sink].append(i)
+        if strategy == MergeStrategy.EDGE_MATCHING:
+            # Multiset of site-level connections, each keyed
+            # ``src_site * n_sites + sink_site``, plus every
+            # connection's current key (commit decrements it).
+            self._conn_keys = [
+                self._conn_key(i) for i in range(len(self.conn_src))
+            ]
+            self._conn_count = Counter(self._conn_keys)
 
         # -- timing term (wire-length strategy only) --------------------------
-        timing_cost = None
-        if timing is not None:
-            # Lazy import: repro.timing.criticality imports
-            # repro.place.placer, which this module feeds.
-            from repro.timing.criticality import PlacementTimingCost
-
-            timing_cost = PlacementTimingCost(timing)
-            for mode, circuit in enumerate(self.circuits):
-                timing_cost.add_circuit(
-                    circuit,
-                    key_of=lambda cell, m=mode: self._cell_key(m, cell),
-                )
-        self._bind_timing(timing_cost)
+        self._bind_timing(timing, [
+            (circuit, lambda cell, m=mode: self._cell_id(m, cell))
+            for mode, circuit in enumerate(self.circuits)
+        ])
 
     # -- helpers ---------------------------------------------------------
 
-    def _cell_key(self, mode: int, cell: str) -> CellKey:
+    def _cell_id(self, mode: int, cell: str) -> int:
         if cell.startswith("pad:"):
-            return ("p", cell)
+            return self._pad_id[cell]
         if cell in self._mode_inputs[mode]:
-            return ("p", pad_cell(cell))
-        return ("b", mode, cell)
+            return self._pad_id[pad_cell(cell)]
+        return self._block_id[(mode, cell)]
 
-    def _position(self, key: CellKey) -> Tuple[int, int]:
-        return self.site_of[key].pos()
-
-    def _compute_net_cost(self, index: int) -> float:
-        # Single-pass bounding box straight over the sites — same
-        # arithmetic as net_bounding_box_cost, minus the per-call
-        # position-tuple list.
-        keys = self._net_keys[index]
-        n = len(keys)
-        if n < 2:
-            return 0.0
+    def _conn_key(self, index: int) -> int:
         site_of = self.site_of
-        site = site_of[keys[0]]
-        xmin = xmax = site.x
-        ymin = ymax = site.y
-        for key in keys:
-            site = site_of[key]
-            x = site.x
-            y = site.y
-            if x < xmin:
-                xmin = x
-            elif x > xmax:
-                xmax = x
-            if y < ymin:
-                ymin = y
-            elif y > ymax:
-                ymax = y
-        return q_factor(n) * ((xmax - xmin) + (ymax - ymin))
-
-    def _conn_site_key(self, index: int) -> Tuple:
-        _mode, src, sink = self.mode_conns[index]
-        s1 = self.site_of[src]
-        s2 = self.site_of[sink]
-        return (s1.kind, s1.x, s1.y, s1.slot,
-                s2.kind, s2.x, s2.y, s2.slot)
+        return (
+            site_of[self.conn_src[index]] * self.n_sites
+            + site_of[self.conn_snk[index]]
+        )
 
     # -- annealing interface -------------------------------------------------
 
-    def size(self) -> int:
-        return len(self.block_keys) + len(self.pad_keys)
-
-    def n_nets(self) -> int:
-        return len(self.mode_nets)
-
-    def max_rlim(self) -> int:
-        return max(self.arch.nx, self.arch.ny) + 2
-
-    def wirelength_cost(self) -> float:
-        return sum(self.net_cost)
-
     def edge_matching_cost(self) -> float:
         """Number of distinct tunable connections after merging."""
-        return float(len(self.conn_counter))
+        return float(len({
+            self._conn_key(i) for i in range(len(self.conn_src))
+        }))
 
     def initial_cost(self) -> float:
         if self.strategy == MergeStrategy.WIRE_LENGTH:
             return self._combined_cost()
         return self.edge_matching_cost()
 
-    # -- moves --------------------------------------------------------------
-
-    def propose(self, rlim: float, rng):
-        n_blocks = len(self.block_keys)
-        total = n_blocks + len(self.pad_keys)
-        if rng.randrange(total) < n_blocks:
-            # Mode-level block swap (paper Section III-A): pick a
-            # placed block (this selects the mode), then a second
-            # physical block within range.
-            key = self.block_keys[rng.randrange(n_blocks)]
-            _tag, mode, _name = key
-            src_site = self.site_of[key]
-            for _ in range(8):
-                dst_site = self.clb_sites[
-                    rng.randrange(len(self.clb_sites))
-                ]
-                if dst_site == src_site:
-                    continue
-                if (
-                    abs(dst_site.x - src_site.x) > rlim
-                    or abs(dst_site.y - src_site.y) > rlim
-                ):
-                    continue
-                return ("blk", key, src_site, dst_site)
-            return None
-        key = self.pad_keys[rng.randrange(len(self.pad_keys))]
-        src_site = self.site_of[key]
-        for _ in range(8):
-            dst_site = self.all_pad_sites[
-                rng.randrange(len(self.all_pad_sites))
-            ]
-            if dst_site == src_site:
-                continue
-            if (
-                abs(dst_site.x - src_site.x) > rlim
-                or abs(dst_site.y - src_site.y) > rlim
-            ):
-                continue
-            return ("pad", key, src_site, dst_site)
-        return None
-
-    def _move_cells(self, move) -> List[Tuple[CellKey, Site, Site]]:
-        """Cells a move displaces, with (from, to) sites."""
-        kind, key, src_site, dst_site = move
-        if kind == "blk":
-            _tag, mode, _name = key
-            other = self.block_at.get((mode, dst_site))
-        else:
-            other = self.pad_at.get(dst_site)
-        displaced = [(key, src_site, dst_site)]
-        if other is not None:
-            displaced.append((other, dst_site, src_site))
-        return displaced
-
-    def delta_cost(self, move) -> float:
-        displaced = self._move_cells(move)
-        keys = [d[0] for d in displaced]
-        self._pending = None
+    def delta_cost(self, move: Move) -> float:
         if self.strategy == MergeStrategy.WIRE_LENGTH:
-            affected: Set[int] = set()
-            for key in keys:
-                affected.update(self.nets_of_cell.get(key, ()))
-            before = sum(self.net_cost[i] for i in affected)
-            timing = self._timing
-            if timing is not None:
-                t_affected, t_before = self._timing_before(keys)
-            self._apply(displaced)
-            # Remember the evaluated after-costs: the annealer commits
-            # the very move it just priced, so commit() can reuse them
-            # instead of recomputing (identical floats, same order).
-            evaluated: Dict[int, float] = {}
-            after = 0.0
-            for i in affected:
-                cost = self._compute_net_cost(i)
-                evaluated[i] = cost
-                after += cost
-            t_evaluated = None
-            if timing is not None:
-                t_evaluated, t_after = self._timing_after(t_affected)
-            self._revert(displaced)
-            self._pending = (move, evaluated, t_evaluated)
-            if timing is None:
-                return after - before
-            return self._timing_delta(
-                after - before, t_before, t_after
-            )
-        # Edge matching: track distinct site-level connection count.
-        affected_conns: Set[int] = set()
-        for key in keys:
-            affected_conns.update(self.conns_of_cell.get(key, ()))
+            return super().delta_cost(move)
+        # Edge matching: the change in the number of distinct
+        # site-level connections.  A key the moved connections leave
+        # disappears when they held all its copies and none return; a
+        # key they arrive at is new when nothing else holds it.
+        cell, src, dst = move
+        other = self.cell_at[self.layer_base[cell] + dst]
+        affected = self._affected_conns(cell, other)
+        conn_key = self._conn_key
+        site_of = self.site_of
+        left: Dict[int, int] = {}
+        for i in affected:
+            key = conn_key(i)
+            left[key] = left.get(key, 0) + 1
+        site_of[cell] = dst
+        if other >= 0:
+            site_of[other] = src
+        arrived = {conn_key(i) for i in affected}
+        site_of[cell] = src
+        if other >= 0:
+            site_of[other] = dst
+        count = self._conn_count
         delta = 0
-        removed: List[Tuple] = []
-        for i in affected_conns:
-            conn_key = self._conn_site_key(i)
-            self.conn_counter[conn_key] -= 1
-            if self.conn_counter[conn_key] == 0:
-                del self.conn_counter[conn_key]
+        for key, n in left.items():
+            if key not in arrived and count[key] == n:
                 delta -= 1
-            removed.append(conn_key)
-        self._apply(displaced)
-        added: List[Tuple] = []
-        for i in affected_conns:
-            conn_key = self._conn_site_key(i)
-            count = self.conn_counter.get(conn_key, 0)
-            if count == 0:
+        for key in arrived:
+            if key not in left and key not in count:
                 delta += 1
-            self.conn_counter[conn_key] = count + 1
-            added.append(conn_key)
-        # Revert.
-        self._revert(displaced)
-        for conn_key in added:
-            self.conn_counter[conn_key] -= 1
-            if self.conn_counter[conn_key] == 0:
-                del self.conn_counter[conn_key]
-        for conn_key in removed:
-            self.conn_counter[conn_key] = (
-                self.conn_counter.get(conn_key, 0) + 1
-            )
         return float(delta)
 
-    def _apply(self, displaced) -> None:
-        for key, _from_site, to_site in displaced:
-            self.site_of[key] = to_site
+    def _affected_conns(self, cell: int, other: int) -> Set[int]:
+        conns = set(self.conns_of_cell[cell])
+        if other >= 0:
+            conns.update(self.conns_of_cell[other])
+        return conns
 
-    def _revert(self, displaced) -> None:
-        for key, from_site, _to_site in displaced:
-            self.site_of[key] = from_site
-
-    def commit(self, move) -> None:
-        displaced = self._move_cells(move)
-        kind = move[0]
-        # Update occupancy maps.
-        if kind == "blk":
-            for key, from_site, _to in displaced:
-                _tag, mode, _name = key
-                if self.block_at.get((mode, from_site)) == key:
-                    del self.block_at[(mode, from_site)]
-            for key, _from, to_site in displaced:
-                _tag, mode, _name = key
-                self.block_at[(mode, to_site)] = key
-        else:
-            for key, from_site, _to in displaced:
-                if self.pad_at.get(from_site) == key:
-                    del self.pad_at[from_site]
-            for key, _from, to_site in displaced:
-                self.pad_at[to_site] = key
-        self._apply(displaced)
-        # Refresh caches (reusing the costs delta_cost just evaluated
-        # for this same move when available).
-        pending = getattr(self, "_pending", None)
-        if pending is not None and pending[0] == move:
-            evaluated, t_evaluated = pending[1], pending[2]
-        else:
-            evaluated = t_evaluated = None
-        self._pending = None
-        keys = [d[0] for d in displaced]
-        affected_nets: Set[int] = set()
-        for key in keys:
-            affected_nets.update(self.nets_of_cell.get(key, ()))
-        for i in affected_nets:
-            self.net_cost[i] = (
-                evaluated[i]
-                if evaluated is not None and i in evaluated
-                else self._compute_net_cost(i)
-            )
-        self._commit_timing(keys, t_evaluated)
-        affected_conns: Set[int] = set()
-        for key in keys:
-            affected_conns.update(self.conns_of_cell.get(key, ()))
-        # Rebuild the counter entries for affected connections: remove
-        # using pre-move sites is impossible now, so recompute the
-        # counter incrementally via stored keys.
-        # (delta_cost left the counter unchanged; redo remove/add.)
-        for i in affected_conns:
-            old_key = self._conn_keys[i]
-            self.conn_counter[old_key] -= 1
-            if self.conn_counter[old_key] == 0:
-                del self.conn_counter[old_key]
-        for i in affected_conns:
-            new_key = self._conn_site_key(i)
-            self.conn_counter[new_key] = (
-                self.conn_counter.get(new_key, 0) + 1
-            )
-            self._conn_keys[i] = new_key
+    def commit(self, move: Move) -> None:
+        if self.strategy == MergeStrategy.WIRE_LENGTH:
+            super().commit(move)
+            return
+        # Edge matching anneals on the connection count alone; the
+        # net costs are recounted when the result is read.
+        other = self._apply(move)
+        count = self._conn_count
+        conn_keys = self._conn_keys
+        affected = self._affected_conns(move[0], other)
+        for i in affected:
+            key = conn_keys[i]
+            count[key] -= 1
+            if not count[key]:
+                del count[key]
+        for i in affected:
+            key = self._conn_key(i)
+            count[key] += 1
+            conn_keys[i] = key
 
     # -- results -----------------------------------------------------------
 
     def result(self, stats: Optional[AnnealingStats] = None
                ) -> CombinedPlacementResult:
-        block_sites = {
-            (mode, name): self.site_of[("b", mode, name)]
-            for mode, circuit in enumerate(self.circuits)
-            for name in circuit.blocks
-        }
-        pad_sites = {
-            key[1]: self.site_of[key] for key in self.pad_keys
-        }
+        sites = self.sites
+        site_of = self.site_of
+        n_blocks = len(self.block_names)
         return CombinedPlacementResult(
             arch=self.arch,
-            block_sites=block_sites,
-            pad_sites=pad_sites,
+            block_sites={
+                key: sites[site_of[i]]
+                for i, key in enumerate(self.block_names)
+            },
+            pad_sites={
+                name: sites[site_of[n_blocks + j]]
+                for j, name in enumerate(self.pad_names)
+            },
             cost=self.initial_cost(),
-            wirelength=self.wirelength_cost(),
+            wirelength=self.wirelength(),
             n_tunable_connections=int(self.edge_matching_cost()),
             stats=stats,
         )
@@ -529,10 +330,11 @@ def merge_with_combined_placement(
     return tunable, placement
 
 
-class TunablePlacementProblem(PlacementTimingMixin):
+class TunablePlacementProblem(PlacementState):
     """TPlace: refine the placement of a merged Tunable circuit.
 
-    Cells are whole Tunable LUTs / pads (all modes move together); the
+    Cells are whole Tunable LUTs / pads (all modes move together),
+    numbered Tunable LUTs first, then pads, each in name order; the
     topology — which LUTs share a Tunable LUT — is fixed.  The cost is
     the same summed per-mode bounding-box estimator the combined
     placement's wire-length option uses; *timing* (a
@@ -545,40 +347,31 @@ class TunablePlacementProblem(PlacementTimingMixin):
                  arch: FpgaArchitecture, rng,
                  randomize: bool = False,
                  timing=None) -> None:
-        self.arch = arch
+        self._init_sites(arch)
         self.tunable = tunable
-        self.tlut_names = sorted(tunable.tluts)
-        self.pad_names = sorted(tunable.pads)
-        clb_sites = arch.clb_sites()
-        pad_sites = arch.pad_sites()
-        if len(self.tlut_names) > len(clb_sites):
+        tlut_names = sorted(tunable.tluts)
+        pad_names = sorted(tunable.pads)
+        if len(tlut_names) > self.n_clb:
             raise ValueError("tunable circuit does not fit the grid")
-        if len(self.pad_names) > len(pad_sites):
+        if len(pad_names) > self.n_sites - self.n_clb:
             raise ValueError("tunable pads do not fit the perimeter")
+        self.names = tlut_names + pad_names
+        index = {name: i for i, name in enumerate(self.names)}
+        self.logic_pool = list(range(len(tlut_names)))
+        self.pad_pool = list(range(len(tlut_names), len(self.names)))
 
-        self.site_of: Dict[str, Site] = {}
-        self.cell_at: Dict[Site, str] = {}
         if randomize or any(
-            tunable.tluts[n].site is None for n in self.tlut_names
+            tunable.tluts[n].site is None for n in tlut_names
         ):
-            shuffled = list(clb_sites)
-            rng.shuffle(shuffled)
-            for name, site in zip(self.tlut_names, shuffled):
-                self.site_of[name] = site
-            shuffled_pads = list(pad_sites)
-            rng.shuffle(shuffled_pads)
-            for name, site in zip(self.pad_names, shuffled_pads):
-                self.site_of[name] = site
+            site_of = (
+                self._shuffled(rng, False)[:len(tlut_names)]
+                + self._shuffled(rng, True)[:len(pad_names)]
+            )
         else:
-            for name in self.tlut_names:
-                self.site_of[name] = tunable.tluts[name].site
-            for name in self.pad_names:
-                self.site_of[name] = tunable.pads[name].site
-        for name, site in self.site_of.items():
-            self.cell_at[site] = name
-
-        self.clb_sites = clb_sites
-        self.all_pad_sites = pad_sites
+            site_id = {site: i for i, site in enumerate(self.sites)}
+            site_of = [
+                site_id[tunable.tluts[name].site] for name in tlut_names
+            ] + [site_id[tunable.pads[name].site] for name in pad_names]
 
         # Per-mode nets in tunable-cell space, derived from the
         # tunable connections (the fixed topology).
@@ -588,169 +381,36 @@ class TunablePlacementProblem(PlacementTimingMixin):
                 sinks_by_source.setdefault(
                     (mode, conn.source), []
                 ).append(conn.sink)
-        self.nets: List[List[str]] = []
+        nets: List[List[int]] = []
         for (_mode, source), sinks in sorted(sinks_by_source.items()):
-            cells = [source]
-            seen = {source}
+            cells = [index[source]]
             for sink in sinks:
-                if sink not in seen:
-                    seen.add(sink)
-                    cells.append(sink)
+                if index[sink] not in cells:
+                    cells.append(index[sink])
             if len(cells) >= 2:
-                self.nets.append(cells)
-        self.nets_of_cell: Dict[str, List[int]] = {}
-        for i, cells in enumerate(self.nets):
-            for cell in cells:
-                self.nets_of_cell.setdefault(cell, []).append(i)
-        self.net_cost = [
-            self._compute_net_cost(i) for i in range(len(self.nets))
-        ]
+                nets.append(cells)
+        self._init_state(site_of, nets)
 
-        timing_cost = None
+        circuits = []
         if timing is not None:
-            from repro.timing.criticality import (
-                PlacementTimingCost,
-                tunable_carriers,
-            )
+            from repro.timing.criticality import tunable_carriers
 
             carriers = tunable_carriers(tunable)
-            timing_cost = PlacementTimingCost(timing)
-            for mode in range(tunable.n_modes):
-                timing_cost.add_circuit(
+            circuits = [
+                (
                     tunable.specialize(mode),
-                    key_of=lambda cell, m=mode: carriers[(m, cell)],
+                    lambda cell, m=mode: index[carriers[(m, cell)]],
                 )
-        self._bind_timing(timing_cost)
-
-    def _compute_net_cost(self, index: int) -> float:
-        # Same single-pass inline as the combined problem's.
-        cells = self.nets[index]
-        n = len(cells)
-        if n < 2:
-            return 0.0
-        site_of = self.site_of
-        site = site_of[cells[0]]
-        xmin = xmax = site.x
-        ymin = ymax = site.y
-        for cell in cells:
-            site = site_of[cell]
-            x = site.x
-            y = site.y
-            if x < xmin:
-                xmin = x
-            elif x > xmax:
-                xmax = x
-            if y < ymin:
-                ymin = y
-            elif y > ymax:
-                ymax = y
-        return q_factor(n) * ((xmax - xmin) + (ymax - ymin))
-
-    def initial_cost(self) -> float:
-        return self._combined_cost()
-
-    def size(self) -> int:
-        return len(self.tlut_names) + len(self.pad_names)
-
-    def n_nets(self) -> int:
-        return len(self.nets)
-
-    def max_rlim(self) -> int:
-        return max(self.arch.nx, self.arch.ny) + 2
-
-    def propose(self, rlim: float, rng):
-        n_tluts = len(self.tlut_names)
-        total = n_tluts + len(self.pad_names)
-        if rng.randrange(total) < n_tluts:
-            cell = self.tlut_names[rng.randrange(n_tluts)]
-            candidates = self.clb_sites
-        else:
-            cell = self.pad_names[
-                rng.randrange(len(self.pad_names))
+                for mode in range(tunable.n_modes)
             ]
-            candidates = self.all_pad_sites
-        src_site = self.site_of[cell]
-        for _ in range(8):
-            dst_site = candidates[rng.randrange(len(candidates))]
-            if dst_site == src_site:
-                continue
-            if (
-                abs(dst_site.x - src_site.x) > rlim
-                or abs(dst_site.y - src_site.y) > rlim
-            ):
-                continue
-            return (cell, src_site, dst_site)
-        return None
-
-    def delta_cost(self, move) -> float:
-        cell, src_site, dst_site = move
-        other = self.cell_at.get(dst_site)
-        affected: Set[int] = set(self.nets_of_cell.get(cell, ()))
-        if other is not None:
-            affected.update(self.nets_of_cell.get(other, ()))
-        before = sum(self.net_cost[i] for i in affected)
-        timing = self._timing
-        if timing is not None:
-            t_affected, t_before = self._timing_before(
-                self._timing_keys(cell, other)
-            )
-        self.site_of[cell] = dst_site
-        if other is not None:
-            self.site_of[other] = src_site
-        # Remember the after-costs for commit() of this same move
-        # (identical floats, same order).
-        evaluated: Dict[int, float] = {}
-        after = 0.0
-        for i in affected:
-            cost = self._compute_net_cost(i)
-            evaluated[i] = cost
-            after += cost
-        t_evaluated = None
-        if timing is not None:
-            t_evaluated, t_after = self._timing_after(t_affected)
-        self.site_of[cell] = src_site
-        if other is not None:
-            self.site_of[other] = dst_site
-        self._pending = (move, evaluated, t_evaluated)
-        if timing is None:
-            return after - before
-        return self._timing_delta(after - before, t_before, t_after)
-
-    def commit(self, move) -> None:
-        cell, src_site, dst_site = move
-        other = self.cell_at.get(dst_site)
-        self.site_of[cell] = dst_site
-        self.cell_at[dst_site] = cell
-        if other is not None:
-            self.site_of[other] = src_site
-            self.cell_at[src_site] = other
-        else:
-            del self.cell_at[src_site]
-        pending = getattr(self, "_pending", None)
-        if pending is not None and pending[0] == move:
-            evaluated, t_evaluated = pending[1], pending[2]
-        else:
-            evaluated = t_evaluated = None
-        self._pending = None
-        affected: Set[int] = set(self.nets_of_cell.get(cell, ()))
-        if other is not None:
-            affected.update(self.nets_of_cell.get(other, ()))
-        for i in affected:
-            self.net_cost[i] = (
-                evaluated[i]
-                if evaluated is not None and i in evaluated
-                else self._compute_net_cost(i)
-            )
-        self._commit_timing(
-            self._timing_keys(cell, other), t_evaluated
-        )
+        self._bind_timing(timing, circuits)
 
     def apply_to_tunable(self) -> None:
         """Write the refined sites back into the Tunable circuit."""
-        for name in self.tlut_names:
-            self.tunable.tluts[name].site = self.site_of[name]
-        for name in self.pad_names:
-            self.tunable.pads[name].site = self.site_of[name]
+        n_tluts = len(self.logic_pool)
+        for cell, name in enumerate(self.names):
+            cells = self.tunable.tluts if cell < n_tluts else self.tunable.pads
+            cells[name].site = self.sites[self.site_of[cell]]
 
 
 def tplace(

@@ -116,13 +116,6 @@ class FlowOptions:
     #: independent of the worker count, but not bit-identical to
     #: them.
     batched_router: bool = False
-    #: Anneal single-mode placements with the batched-move engine
-    #: (:func:`repro.place.annealing.anneal_batched`): moves priced in
-    #: vectors against a frozen batch-start state, conflicts re-priced
-    #: live.  QoR-equivalent and deterministic per seed, not
-    #: bit-identical to the scalar engine; timing-driven placements
-    #: always use the scalar engine.
-    batched_placer: bool = False
     #: Route with the precomputed lookahead heuristic
     #: (:mod:`repro.route.lookahead`): a one-shot backward-Dijkstra
     #: sweep over the architecture's (Δx, Δy, node-kind) quotient
@@ -156,7 +149,7 @@ class FlowOptions:
     })
     _BOOL_KNOBS = frozenset({
         "tplace_refine", "timing_driven", "batched_router",
-        "batched_placer", "router_lookahead", "partial_ripup",
+        "router_lookahead", "partial_ripup",
     })
     _OPTIONAL_INT_KNOBS = frozenset({"channel_width"})
     _CHOICE_KNOBS = {"sizing": ("estimate", "search")}
@@ -329,7 +322,6 @@ def place_stage_inputs(
     """Key inputs of the ``place`` stage (one mode's placement)."""
     return (
         circuit, arch, options.seed + mode, options.schedule(),
-        options.batched_placer,
     ) + _timing_key(options)
 
 
@@ -435,7 +427,6 @@ OPTION_STAGE_COVERAGE: Dict[str, frozenset] = {
     "batched_router": frozenset(
         {"route_lut", "dcs", "multimode", "campaign"}
     ),
-    "batched_placer": frozenset({"place", "multimode", "campaign"}),
     "router_lookahead": frozenset(
         {"route_lut", "dcs", "multimode", "campaign"}
     ),
@@ -759,7 +750,6 @@ def _mdr_mode_stage(
             seed=options.seed + mode,
             schedule=options.schedule(),
             timing=timing,
-            batched=options.batched_placer,
         )
 
     # Keyed by exactly the inputs that reach place_circuit, so cached

@@ -17,7 +17,8 @@ Environment knobs:
 
 * ``REPRO_CACHE_DIR`` — cache root (default ``~/.cache/repro/stages``);
 * ``REPRO_CACHE_DISABLE=1`` — turn every lookup into a miss and every
-  store into a no-op (useful to A/B a cold path).
+  store into a no-op (useful to A/B a cold path); the value is parsed
+  by :func:`repro.utils.env.env_flag`, so ``0`` leaves the cache on.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
 from repro.exec.fingerprint import code_fingerprint, fingerprint
+from repro.utils.env import env_flag
 
 
 def atomic_write_bytes(path: os.PathLike, data: bytes) -> None:
@@ -130,9 +132,7 @@ class StageCache:
         enabled: bool = True,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.enabled = enabled and not os.environ.get(
-            "REPRO_CACHE_DISABLE"
-        )
+        self.enabled = enabled and not env_flag("REPRO_CACHE_DISABLE")
         self.stats = CacheStats()
 
     # -- keys and paths -----------------------------------------------------

@@ -162,165 +162,3 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
 
     stats.final_cost = cost
     return stats
-
-
-def anneal_batched(
-    problem,
-    rng,
-    schedule: Optional[AnnealingSchedule] = None,
-    batch_size: int = 64,
-) -> AnnealingStats:
-    """Batched-move variant of :func:`anneal` (same VPR schedule).
-
-    Instead of the propose → price → decide scalar loop, moves are
-    handled in vectors of up to *batch_size*: the whole vector is
-    proposed first (same RNG, one move at a time), the acceptance
-    uniforms are pre-drawn, and one ``problem.batch_delta(moves)``
-    call prices every move against the frozen batch-start state.  An
-    in-order accept pass then walks the vector: a move whose price may
-    have been invalidated by an earlier commit in the same batch —
-    detected conservatively through overlapping
-    ``problem.move_footprint(move)`` token sets (cells, sites, nets)
-    — is re-priced live through the scalar ``delta_cost``.  Every
-    acceptance decision therefore uses an *exact* delta, and the
-    trajectory is a pure function of the seed.  It is, however, a
-    different function from the scalar engine's (the RNG draw order
-    differs: uniforms are drawn per proposal up front, not lazily per
-    uphill move), so batched results are QoR-equivalent to scalar
-    ones, not bit-identical.
-
-    Beyond the base protocol, the problem must provide
-    ``batch_delta(moves) -> sequence of float``,
-    ``move_footprint(move) -> iterable of hashables`` and
-    ``refresh_move(move) -> move | None`` (rebuild a proposal whose
-    source position went stale; ``None`` drops it).
-    """
-    schedule = schedule or AnnealingSchedule()
-    size = max(1, problem.size())
-    cost = problem.initial_cost()
-    stats = AnnealingStats(initial_cost=cost, final_cost=cost)
-
-    moves_per_temp = max(
-        schedule.min_moves, int(schedule.inner_num * size ** (4 / 3))
-    )
-
-    # Initial temperature: identical to the scalar engine — the
-    # perturbation moves are all committed, so there is nothing to
-    # batch (every move would conflict with the previous one anyway).
-    deltas = []
-    for _ in range(size):
-        move = problem.propose(rlim=float("inf"), rng=rng)
-        if move is None:
-            continue
-        delta = problem.delta_cost(move)
-        problem.commit(move)
-        cost += delta
-        deltas.append(delta)
-    if deltas:
-        mean = sum(deltas) / len(deltas)
-        variance = sum((d - mean) ** 2 for d in deltas) / len(deltas)
-        temperature = schedule.init_temp_factor * math.sqrt(variance)
-    else:
-        temperature = 1.0
-    if temperature <= 0.0:
-        temperature = 1.0
-
-    rlim = float(problem.max_rlim())
-
-    propose = problem.propose
-    delta_cost = problem.delta_cost
-    commit = problem.commit
-    batch_delta = problem.batch_delta
-    move_footprint = problem.move_footprint
-    refresh_move = problem.refresh_move
-    random = rng.random
-    exp = math.exp
-    on_temperature = getattr(problem, "on_temperature", None)
-    batch_on = False  # annealing starts hot: accept-nearly-all
-
-    for _ in range(schedule.max_temperatures):
-        if on_temperature is not None:
-            refreshed = on_temperature()
-            if refreshed is not None:
-                cost = refreshed
-        n_nets = max(1, problem.n_nets())
-        if temperature < schedule.exit_ratio * cost / n_nets:
-            break
-        accepted = 0
-        attempted = 0
-        if not batch_on:
-            # Hot phase: most moves are accepted, so a vector price
-            # computed at batch start is almost always invalidated by
-            # an earlier commit and re-priced anyway — batching would
-            # be pure overhead.  Price scalar (but keep the batched
-            # engine's draw order: uniforms per proposal, up front)
-            # until the acceptance rate falls below 1/2.
-            for _ in range(moves_per_temp):
-                move = propose(rlim=rlim, rng=rng)
-                if move is None:
-                    continue
-                u = random()
-                attempted += 1
-                delta = delta_cost(move)
-                if delta <= 0 or u < exp(-delta / temperature):
-                    commit(move)
-                    cost += delta
-                    accepted += 1
-            moves_left = 0
-        else:
-            moves_left = moves_per_temp
-        while moves_left > 0:
-            b = min(batch_size, moves_left)
-            moves_left -= b
-            proposals = []
-            for _ in range(b):
-                move = propose(rlim=rlim, rng=rng)
-                if move is not None:
-                    proposals.append(move)
-            if not proposals:
-                continue
-            uniforms = [random() for _ in range(len(proposals))]
-            vector = batch_delta(proposals)
-            # In-order accept pass.  ``touched`` accumulates the
-            # footprint tokens of every committed move; a later move
-            # whose footprint intersects it may have a stale vector
-            # price (some net cost or site occupant changed), so it is
-            # re-priced live.  Disjoint footprints imply the frozen
-            # price equals the live one exactly.
-            touched = set()
-            for k, move in enumerate(proposals):
-                attempted += 1
-                footprint = move_footprint(move)
-                if touched and not touched.isdisjoint(footprint):
-                    # An earlier commit may have moved this cell (the
-                    # proposal's source position is stale) and has at
-                    # minimum invalidated the vector price: rebuild
-                    # the move against live state and re-price it.
-                    move = refresh_move(move)
-                    if move is None:
-                        continue
-                    footprint = move_footprint(move)
-                    delta = delta_cost(move)
-                else:
-                    delta = float(vector[k])
-                if delta <= 0 or uniforms[k] < exp(-delta / temperature):
-                    commit(move)
-                    cost += delta
-                    accepted += 1
-                    touched.update(footprint)
-        stats.n_temperatures += 1
-        stats.n_moves += attempted
-        stats.n_accepted += accepted
-
-        r_accept = accepted / attempted if attempted else 0.0
-        batch_on = r_accept < 0.5
-        temperature *= _alpha(r_accept)
-        rlim = min(
-            float(problem.max_rlim()),
-            max(1.0, rlim * (1.0 - 0.44 + r_accept)),
-        )
-        if cost <= 0:
-            break
-
-    stats.final_cost = cost
-    return stats

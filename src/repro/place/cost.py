@@ -7,6 +7,13 @@ in VPR).  The same estimator is used by the conventional placer, by
 TPlace, and — per the paper's Section III-B — by the wire-length
 optimisation variant of the combined placement, which is exactly what
 lets combined placement "assess the wire usage of the Tunable circuit".
+
+All of them compute it through one fold, :func:`bounding_box_cost`,
+over the integer site ids of :mod:`repro.place.state`;
+:func:`net_bounding_box_cost` is the same fold over position tuples.
+There is no second copy of the arithmetic to keep in step, so the
+placers' incremental net-cost caches always equal a from-scratch
+recount.
 """
 
 from __future__ import annotations
@@ -44,28 +51,30 @@ def bounding_box(
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-def net_bounding_box_cost(
-    positions: Sequence[Tuple[int, int]]
+def bounding_box_cost(
+    cells: Sequence[int],
+    q: float,
+    site_of: Sequence[int],
+    site_x: Sequence[int],
+    site_y: Sequence[int],
 ) -> float:
-    """VPR linear-congestion cost of one net at the given terminals.
+    """``q * (bb_width + bb_height)`` of *cells* at their sites.
 
-    This runs once per affected net per annealing move (millions of
-    times per placement), so the bounding box is folded in a single
-    pass with no intermediate lists.
-
-    The same fold is hand-inlined (over sites instead of position
-    tuples) in the three placement problems —
-    ``placer._SinglePlacementProblem._compute_net_cost``,
-    ``combined_placement.CombinedPlacementProblem._compute_net_cost``,
-    ``combined_placement.TunablePlacementProblem._compute_net_cost`` —
-    any arithmetic change here must be mirrored there, or their
-    incremental net-cost caches desynchronise from this function.
+    ``site_of[cell]`` is the cell's site id and ``site_x``/``site_y``
+    the sites' coordinates.  This is the one bounding-box fold of the
+    package: the three annealing problems (:mod:`repro.place.state`)
+    run it once per affected net per move — millions of times per
+    placement — so it is a single pass with no intermediate lists,
+    and :func:`net_bounding_box_cost` reuses it.  *cells* must be
+    non-empty.
     """
-    n = len(positions)
-    if n < 2:
-        return 0.0
-    xmin, ymin = xmax, ymax = positions[0]
-    for x, y in positions:
+    site = site_of[cells[0]]
+    xmin = xmax = site_x[site]
+    ymin = ymax = site_y[site]
+    for cell in cells:
+        site = site_of[cell]
+        x = site_x[site]
+        y = site_y[site]
         if x < xmin:
             xmin = x
         elif x > xmax:
@@ -74,7 +83,22 @@ def net_bounding_box_cost(
             ymin = y
         elif y > ymax:
             ymax = y
-    return q_factor(n) * ((xmax - xmin) + (ymax - ymin))
+    return q * ((xmax - xmin) + (ymax - ymin))
+
+
+def net_bounding_box_cost(
+    positions: Sequence[Tuple[int, int]]
+) -> float:
+    """VPR linear-congestion cost of one net at the given terminals."""
+    n = len(positions)
+    if n < 2:
+        return 0.0
+    # Terminal i sits on "site" i, whose coordinates are positions[i].
+    terminals = range(n)
+    return bounding_box_cost(
+        terminals, q_factor(n), terminals,
+        [p[0] for p in positions], [p[1] for p in positions],
+    )
 
 
 def total_cost(nets: Iterable[Sequence[Tuple[int, int]]]) -> float:

@@ -14,114 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from repro.arch.architecture import FpgaArchitecture, Site
 from repro.netlist.lutcircuit import LutCircuit
-from repro.place.annealing import (
-    AnnealingSchedule,
-    AnnealingStats,
-    anneal,
-    anneal_batched,
-)
-from repro.place.cost import net_bounding_box_cost, q_factor
+from repro.place.annealing import AnnealingSchedule, AnnealingStats, anneal
+from repro.place.cost import net_bounding_box_cost
+from repro.place.state import PlacementState
 from repro.utils.rng import make_rng
 
 
 def pad_cell(signal: str) -> str:
     """Cell name of the IO pad carrying primary IO *signal*."""
     return f"pad:{signal}"
-
-
-class PlacementTimingMixin:
-    """Timing-term bookkeeping shared by the annealing problems.
-
-    A problem with a bound :class:`~repro.timing.criticality
-    .PlacementTimingCost` anneals the combined cost
-
-    ``(1 - tradeoff) * wirelength + tradeoff * tau * timing``
-
-    where ``timing`` is the criticality-weighted connection-delay sum
-    and ``tau`` rescales it into wire-length units (``tau =
-    wirelength / timing``, refreshed with the criticalities at every
-    temperature via the engine's ``on_temperature`` hook).  With no
-    timing bound every method degrades to the plain wire-length cost
-    — same floats, same RNG sequence, bit-identical placements.
-    """
-
-    _timing = None
-    _lam = 0.0
-    _tau = 0.0
-
-    def _bind_timing(self, timing) -> None:
-        self._timing = timing
-        if timing is None:
-            return
-        timing.bind(self.site_of)
-        self._lam = timing.config.tradeoff
-        self._refresh_tau()
-
-    def _refresh_tau(self) -> None:
-        timing_cost = self._timing.cost
-        self._tau = (
-            sum(self.net_cost) / timing_cost
-            if timing_cost > 0.0 else 0.0
-        )
-
-    def _combined_cost(self) -> float:
-        base = sum(self.net_cost)
-        if self._timing is None:
-            return base
-        return (
-            (1.0 - self._lam) * base
-            + self._lam * self._tau * self._timing.cost
-        )
-
-    def on_temperature(self):
-        """Annealing hook: refresh criticalities, re-balance terms."""
-        if self._timing is None:
-            return None
-        self._timing.refresh_criticalities()
-        self._refresh_tau()
-        return self._combined_cost()
-
-    def _timing_keys(self, cell, other):
-        return (cell,) if other is None else (cell, other)
-
-    # -- per-move bookkeeping (shared by every problem's
-    # delta_cost/commit; only called when self._timing is bound) ----------
-
-    def _timing_before(self, keys):
-        """(affected conn indices, their weighted cost) pre-move."""
-        timing = self._timing
-        affected = timing.conns_of(keys)
-        return affected, timing.weighted(affected)
-
-    def _timing_after(self, affected):
-        """(evaluated delays, weighted cost) of *affected* — call
-        while the move is tentatively applied; hand the evaluation to
-        ``_commit_timing`` via ``_pending`` when the move commits."""
-        evaluated = self._timing.eval_conns(affected)
-        return evaluated, self._timing.weighted_eval(evaluated)
-
-    def _timing_delta(self, base_delta, t_before, t_after):
-        """Blend the base (wire-length) and timing deltas."""
-        return (
-            (1.0 - self._lam) * base_delta
-            + self._lam * self._tau * (t_after - t_before)
-        )
-
-    def _commit_timing(self, keys, t_evaluated):
-        """Fold a committed move's delays into the running timing
-        cost (re-evaluating at the already-updated sites when
-        delta_cost's pending evaluation is unavailable).  No-op for
-        untimed problems."""
-        timing = self._timing
-        if timing is None:
-            return
-        if t_evaluated is None:
-            t_evaluated = timing.eval_conns(timing.conns_of(keys))
-        timing.commit(t_evaluated)
 
 
 @dataclass
@@ -190,373 +93,79 @@ class Placement:
         return self.sites[cell].pos()
 
 
-class _SinglePlacementProblem(PlacementTimingMixin):
+class _SinglePlacementProblem(PlacementState):
     """Annealing problem for one circuit; see repro.place.annealing.
 
-    *timing* is an optional prebuilt
-    :class:`~repro.timing.criticality.PlacementTimingCost` covering the
-    circuit's connections (cells keyed by their names, as in
-    ``site_of``); when given, moves are priced by the combined
-    wire-length + criticality-weighted-delay cost.
+    Cells are numbered logic blocks first, then IO pads.  *timing* is
+    an optional :class:`~repro.timing.criticality.CriticalityConfig`;
+    when given, moves are priced by the combined wire-length +
+    criticality-weighted-delay cost.
     """
 
     def __init__(
         self,
+        circuit: LutCircuit,
         arch: FpgaArchitecture,
-        logic_cells: Sequence[str],
-        pad_cells: Sequence[str],
-        nets: Sequence[Net],
         rng,
         timing=None,
     ) -> None:
-        self.arch = arch
-        self.logic_cells = list(logic_cells)
-        self.pad_cells = list(pad_cells)
-        self.nets = list(nets)
-        clb_sites = arch.clb_sites()
-        pad_sites = arch.pad_sites()
-        if len(self.logic_cells) > len(clb_sites):
+        self._init_sites(arch)
+        logic, pads = circuit_cells(circuit)
+        if len(logic) > self.n_clb:
             raise ValueError(
-                f"{len(self.logic_cells)} blocks exceed "
-                f"{len(clb_sites)} logic tiles"
+                f"{len(logic)} blocks exceed {self.n_clb} logic tiles"
             )
-        if len(self.pad_cells) > len(pad_sites):
+        n_pad_sites = self.n_sites - self.n_clb
+        if len(pads) > n_pad_sites:
             raise ValueError(
-                f"{len(self.pad_cells)} IOs exceed "
-                f"{len(pad_sites)} pad slots"
+                f"{len(pads)} IOs exceed {n_pad_sites} pad slots"
             )
+        # An IO that is both input and output names one pad cell
+        # twice: one cell id, listed twice in the pad pool.
+        self.names: List[str] = list(dict.fromkeys(logic + pads))
+        index = {name: i for i, name in enumerate(self.names)}
+        self.logic_pool = [index[cell] for cell in logic]
+        self.pad_pool = [index[cell] for cell in pads]
         # Random legal initial placement.
-        self.site_of: Dict[str, Site] = {}
-        self.cell_at: Dict[Site, Optional[str]] = {}
-        shuffled_clb = list(clb_sites)
-        rng.shuffle(shuffled_clb)
-        for cell, site in zip(self.logic_cells, shuffled_clb):
-            self.site_of[cell] = site
-        self.free_clb = shuffled_clb[len(self.logic_cells):]
-        shuffled_pad = list(pad_sites)
-        rng.shuffle(shuffled_pad)
-        for cell, site in zip(self.pad_cells, shuffled_pad):
-            self.site_of[cell] = site
-        self.free_pad = shuffled_pad[len(self.pad_cells):]
-        for cell, site in self.site_of.items():
-            self.cell_at[site] = cell
-
-        self.all_clb_sites = clb_sites
-        self.all_pad_sites = pad_sites
-        self.nets_of_cell: Dict[str, List[int]] = {}
-        for i, net in enumerate(self.nets):
-            for cell in net.cells:
-                self.nets_of_cell.setdefault(cell, []).append(i)
-        self.net_cost: List[float] = [
-            self._compute_net_cost(net) for net in self.nets
-        ]
-        self._bind_timing(timing)
-
-    # -- cost helpers -----------------------------------------------------
-
-    def _compute_net_cost(self, net: Net) -> float:
-        # Single-pass bounding box straight over the sites — same
-        # arithmetic as net_bounding_box_cost, minus the per-call
-        # position-tuple list (this is the move loop's hottest callee).
-        cells = net.cells
-        n = len(cells)
-        if n < 2:
-            return 0.0
-        site_of = self.site_of
-        site = site_of[cells[0]]
-        xmin = xmax = site.x
-        ymin = ymax = site.y
-        for cell in cells:
-            site = site_of[cell]
-            x = site.x
-            y = site.y
-            if x < xmin:
-                xmin = x
-            elif x > xmax:
-                xmax = x
-            if y < ymin:
-                ymin = y
-            elif y > ymax:
-                ymax = y
-        return q_factor(n) * ((xmax - xmin) + (ymax - ymin))
-
-    def initial_cost(self) -> float:
-        return self._combined_cost()
-
-    def size(self) -> int:
-        return len(self.logic_cells) + len(self.pad_cells)
-
-    def n_nets(self) -> int:
-        return len(self.nets)
-
-    def max_rlim(self) -> int:
-        return max(self.arch.nx, self.arch.ny) + 2
-
-    # -- moves --------------------------------------------------------------
+        site_of = [-1] * len(self.names)
+        for cell, site in zip(self.logic_pool, self._shuffled(rng, False)):
+            site_of[cell] = site
+        for cell, site in zip(self.pad_pool, self._shuffled(rng, True)):
+            site_of[cell] = site
+        self._init_state(site_of, [
+            [index[cell] for cell in net.cells]
+            for net in circuit_nets(circuit)
+        ])
+        self._bind_timing(timing, [(circuit, index.__getitem__)])
 
     def propose(self, rlim: float, rng):
         """Pick a random cell and a random target site within rlim."""
         pool = (
-            self.logic_cells
+            self.logic_pool
             if rng.random() < (
-                len(self.logic_cells) / max(1, self.size())
+                len(self.logic_pool) / max(1, self.size())
             )
-            else self.pad_cells
+            else self.pad_pool
         )
         if not pool:
-            pool = self.logic_cells or self.pad_cells
-        cell = pool[rng.randrange(len(pool))]
-        src_site = self.site_of[cell]
-        candidates = (
-            self.all_clb_sites
-            if src_site.kind == "clb"
-            else self.all_pad_sites
-        )
-        for _ in range(8):
-            dst_site = candidates[rng.randrange(len(candidates))]
-            if dst_site == src_site:
-                continue
-            if (
-                abs(dst_site.x - src_site.x) > rlim
-                or abs(dst_site.y - src_site.y) > rlim
-            ):
-                continue
-            return (cell, src_site, dst_site)
-        return None
-
-    def _affected_nets(self, cell_a: str, cell_b: Optional[str]
-                       ) -> List[int]:
-        nets = set(self.nets_of_cell.get(cell_a, ()))
-        if cell_b is not None:
-            nets.update(self.nets_of_cell.get(cell_b, ()))
-        return sorted(nets)
-
-    def delta_cost(self, move) -> float:
-        cell, src_site, dst_site = move
-        other = self.cell_at.get(dst_site)
-        affected = self._affected_nets(cell, other)
-        before = sum(self.net_cost[i] for i in affected)
-        timing = self._timing
-        if timing is not None:
-            t_affected, t_before = self._timing_before(
-                self._timing_keys(cell, other)
-            )
-        # Tentatively move, evaluate, revert — remembering the
-        # after-costs so commit() of this same move reuses them
-        # (identical floats, same order).
-        self.site_of[cell] = dst_site
-        if other is not None:
-            self.site_of[other] = src_site
-        evaluated = {}
-        after = 0.0
-        for i in affected:
-            cost = self._compute_net_cost(self.nets[i])
-            evaluated[i] = cost
-            after += cost
-        t_evaluated = None
-        if timing is not None:
-            t_evaluated, t_after = self._timing_after(t_affected)
-        self.site_of[cell] = src_site
-        if other is not None:
-            self.site_of[other] = dst_site
-        self._pending = (move, evaluated, t_evaluated)
-        if timing is None:
-            return after - before
-        return self._timing_delta(after - before, t_before, t_after)
-
-    def commit(self, move) -> None:
-        cell, src_site, dst_site = move
-        other = self.cell_at.get(dst_site)
-        self.site_of[cell] = dst_site
-        self.cell_at[dst_site] = cell
-        if other is not None:
-            self.site_of[other] = src_site
-            self.cell_at[src_site] = other
-        else:
-            self.cell_at[src_site] = None
-        pending = getattr(self, "_pending", None)
-        if pending is not None and pending[0] == move:
-            evaluated, t_evaluated = pending[1], pending[2]
-        else:
-            # Batched annealing: the vector pricing memoised the
-            # after-costs per move (exact for any move the engine
-            # commits straight off the vector — conflicted moves are
-            # re-priced through delta_cost and hit ``_pending`` above).
-            evaluated = getattr(self, "_batch_pending", {}).get(move)
-            t_evaluated = None
-        self._pending = None
-        for i in self._affected_nets(cell, other):
-            self.net_cost[i] = (
-                evaluated[i]
-                if evaluated is not None and i in evaluated
-                else self._compute_net_cost(self.nets[i])
-            )
-        self._commit_timing(
-            self._timing_keys(cell, other), t_evaluated
+            pool = self.logic_pool or self.pad_pool
+        return self._propose_site(
+            pool[rng.randrange(len(pool))], rlim, rng
         )
 
-    # -- batched-move pricing (repro.place.annealing.anneal_batched) ------
+    def _affected_nets(self, cell: int, other: int) -> List[int]:
+        return sorted(super()._affected_nets(cell, other))
 
-    def _batch_arrays(self):
-        ba = getattr(self, "_ba", None)
-        if ba is None:
-            # Cell index in site_of insertion order (logic cells then
-            # pads — deterministic); nets flattened CSR-style so a
-            # batch of moves gathers every member position in one shot.
-            index = {c: k for k, c in enumerate(self.site_of)}
-            flat: List[int] = []
-            starts = [0]
-            weights = []
-            for net in self.nets:
-                flat.extend(index[c] for c in net.cells)
-                starts.append(len(flat))
-                n = len(net.cells)
-                weights.append(q_factor(n) if n >= 2 else 0.0)
-            ba = (
-                index,
-                np.asarray(flat, dtype=np.int64),
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(weights, dtype=np.float64),
-            )
-            self._ba = ba
-        return ba
-
-    def refresh_move(self, move):
-        """Rebuild a batch proposal against the live placement.
-
-        A move proposed at batch start names the cell's *then*
-        position as the swap-back site; if an earlier commit moved the
-        cell, replaying the stale tuple would clear the wrong site.
-        ``None`` when the rebuilt move degenerates (cell already sits
-        on the destination)."""
-        cell, _stale_src, dst_site = move
-        src_site = self.site_of[cell]
-        if dst_site == src_site:
-            return None
-        return (cell, src_site, dst_site)
-
-    def move_footprint(self, move):
-        """Hashable tokens this move reads or writes (cells, sites,
-        net ids — the three token kinds never compare equal, so one
-        flat collection suffices).  Two moves with disjoint footprints
-        have independent exact deltas; the batched engine uses the
-        overlap as its conservative conflict test."""
-        cell, src_site, dst_site = move
-        other = self.cell_at.get(dst_site)
-        tokens = [cell, src_site, dst_site]
-        tokens.extend(self.nets_of_cell.get(cell, ()))
-        if other is not None:
-            tokens.append(other)
-            tokens.extend(self.nets_of_cell.get(other, ()))
-        return tokens
-
-    def batch_delta(self, moves):
-        """Wire-length delta of every move, each priced independently
-        against the *current* placement.
-
-        Vectorized twin of :meth:`delta_cost`: all affected nets of
-        all moves are flattened into one ragged gather and their
-        bounding boxes reduced with ``np.maximum.reduceat``; site
-        coordinates are small integers, so the float64 arithmetic
-        reproduces the scalar path bit for bit.  Nothing is applied
-        and no ``_pending`` memo is left behind — the caller commits
-        (or re-prices) each move itself.  Timing-driven problems keep
-        the scalar engine (batch pricing covers the wire-length cost
-        only), which ``place_circuit`` enforces.
-        """
-        index, net_cells, net_starts, net_w = self._batch_arrays()
-        site_of = self.site_of
-        n_cells = len(index)
-        xs = np.empty(n_cells, dtype=np.float64)
-        ys = np.empty(n_cells, dtype=np.float64)
-        for cell_name, k in index.items():
-            site = site_of[cell_name]
-            xs[k] = site.x
-            ys[k] = site.y
-        # One row per (move, affected net) pair.
-        pair_net: List[int] = []
-        pair_move: List[int] = []
-        pair_cell: List[int] = []
-        pair_other: List[int] = []
-        pair_dx: List[float] = []
-        pair_dy: List[float] = []
-        pair_sx: List[float] = []
-        pair_sy: List[float] = []
-        for m, (cell, src_site, dst_site) in enumerate(moves):
-            other = self.cell_at.get(dst_site)
-            ci = index[cell]
-            oi = index[other] if other is not None else -1
-            for i in self._affected_nets(cell, other):
-                pair_net.append(i)
-                pair_move.append(m)
-                pair_cell.append(ci)
-                pair_other.append(oi)
-                pair_dx.append(dst_site.x)
-                pair_dy.append(dst_site.y)
-                pair_sx.append(src_site.x)
-                pair_sy.append(src_site.y)
-        if not pair_net:
-            return np.zeros(len(moves), dtype=np.float64)
-        pn = np.asarray(pair_net, dtype=np.int64)
-        counts = net_starts[pn + 1] - net_starts[pn]
-        total = int(counts.sum())
-        row_start = np.zeros(pn.shape[0], dtype=np.int64)
-        np.cumsum(counts[:-1], out=row_start[1:])
-        offs = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(row_start, counts)
-        )
-        rows = net_cells[np.repeat(net_starts[pn], counts) + offs]
-        rc = np.repeat(np.asarray(pair_cell, np.int64), counts)
-        ro = np.repeat(np.asarray(pair_other, np.int64), counts)
-        is_cell = rows == rc
-        is_other = rows == ro
-        gx = np.where(
-            is_cell,
-            np.repeat(np.asarray(pair_dx), counts),
-            np.where(
-                is_other, np.repeat(np.asarray(pair_sx), counts),
-                xs[rows],
-            ),
-        )
-        gy = np.where(
-            is_cell,
-            np.repeat(np.asarray(pair_dy), counts),
-            np.where(
-                is_other, np.repeat(np.asarray(pair_sy), counts),
-                ys[rows],
-            ),
-        )
-        width = (
-            np.maximum.reduceat(gx, row_start)
-            - np.minimum.reduceat(gx, row_start)
-        )
-        height = (
-            np.maximum.reduceat(gy, row_start)
-            - np.minimum.reduceat(gy, row_start)
-        )
-        after = net_w[pn] * (width + height)
-        net_cost = self.net_cost
-        before = np.fromiter(
-            (net_cost[i] for i in pair_net), np.float64, len(pair_net)
-        )
-        # Memo the after-costs so commit() of an unconflicted move
-        # reuses them instead of recomputing its nets (same floats).
-        evaluated = [dict() for _ in moves]
-        after_list = after.tolist()
-        for p, m in enumerate(pair_move):
-            evaluated[m][pair_net[p]] = after_list[p]
-        self._batch_pending = {
-            move: evaluated[m] for m, move in enumerate(moves)
-        }
-        # Sum after and before separately (pairs are emitted in the
-        # same sorted-net order delta_cost iterates), so the floats
-        # associate exactly as ``sum(after) - sum(before)`` does in
-        # the scalar path.
-        pm = np.asarray(pair_move, np.int64)
-        return (
-            np.bincount(pm, weights=after, minlength=len(moves))
-            - np.bincount(pm, weights=before, minlength=len(moves))
+    def placement(self, stats: AnnealingStats) -> Placement:
+        sites = self.sites
+        return Placement(
+            arch=self.arch,
+            sites={
+                name: sites[site]
+                for name, site in zip(self.names, self.site_of)
+            },
+            cost=self.wirelength(),
+            stats=stats,
         )
 
 
@@ -566,7 +175,6 @@ def place_circuit(
     seed: int = 0,
     schedule: Optional[AnnealingSchedule] = None,
     timing=None,
-    batched: bool = False,
 ) -> Placement:
     """Place *circuit* on *arch*; returns the final placement.
 
@@ -577,42 +185,10 @@ def place_circuit(
     ``None`` the run is bit-identical to the historical
     wire-length-driven placer.  The reported ``Placement.cost`` is the
     wire-length cost in both variants so results stay comparable.
-
-    *batched* selects the batched-move annealing engine
-    (:func:`~repro.place.annealing.anneal_batched`): moves are priced
-    in vectors through ``batch_delta``.  Results are deterministic
-    per seed and QoR-equivalent to the scalar engine, but not
-    bit-identical (different RNG draw order).  Timing-driven runs
-    always use the scalar engine — batch pricing covers only the
-    wire-length cost.
     """
     rng = make_rng(seed, f"place:{circuit.name}")
-    logic, pads = circuit_cells(circuit)
-    nets = circuit_nets(circuit)
-    timing_cost = None
-    if timing is not None:
-        # Imported lazily: repro.timing.criticality imports this
-        # module (pad_cell), so a top-level import would be circular.
-        from repro.timing.criticality import PlacementTimingCost
-
-        timing_cost = PlacementTimingCost(timing)
-        timing_cost.add_circuit(circuit)
-    problem = _SinglePlacementProblem(
-        arch, logic, pads, nets, rng, timing=timing_cost
-    )
-    if batched and timing_cost is None:
-        stats = anneal_batched(problem, rng, schedule)
-    else:
-        stats = anneal(problem, rng, schedule)
-    cost = sum(
-        net_bounding_box_cost(
-            [problem.site_of[c].pos() for c in net.cells]
-        )
-        for net in nets
-    )
-    return Placement(
-        arch=arch, sites=dict(problem.site_of), cost=cost, stats=stats
-    )
+    problem = _SinglePlacementProblem(circuit, arch, rng, timing=timing)
+    return problem.placement(anneal(problem, rng, schedule))
 
 
 def placement_wirelength(

@@ -57,7 +57,6 @@ that need a specific core regardless of the environment instantiate
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -67,6 +66,7 @@ from repro.route.searchkernel import (
     scalar_search,
     scalar_search_timed,
 )
+from repro.utils.env import env_flag
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def validate_routing(result: "RoutingResult") -> None:
 
 def scalar_router_forced() -> bool:
     """True when ``REPRO_SCALAR_ROUTER`` selects the scalar core."""
-    return bool(os.environ.get("REPRO_SCALAR_ROUTER"))
+    return env_flag("REPRO_SCALAR_ROUTER")
 
 
 class PathFinderRouter:

@@ -49,7 +49,6 @@ from typing import (
     Dict,
     List,
     Mapping,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -261,9 +260,11 @@ class PlacementTimingCost:
 
     One instance serves one placement problem; multi-mode problems add
     one circuit per mode (each gets its own STA).  Connections are
-    keyed by the *placement cells* of their endpoints — whatever keys
-    the owning problem's ``site_of`` uses — via the ``key_of``
-    translator passed to :meth:`add_circuit`.
+    keyed by the *placement cells* of their endpoints — the cell ids
+    of the owning problem's ``site_of`` — via the ``key_of``
+    translator passed to :meth:`add_circuit`.  Positions are read from
+    the problem's own arrays (:meth:`bind`), and each distance's
+    delay from a table of ``DelayModel.connection_delay`` values.
 
     The cost is ``sum_c crit_c ** exponent * delay_c``:
 
@@ -287,7 +288,10 @@ class PlacementTimingCost:
         self.delay: List[float] = []
         self.weight: List[float] = []  # sharpened criticality
         self.cost = 0.0
-        self._site_of: Optional[Mapping[Any, Any]] = None
+        self._site_of: Sequence[int] = ()
+        self._site_x: Sequence[int] = ()
+        self._site_y: Sequence[int] = ()
+        self._delay_at: List[float] = []
 
     # -- construction -------------------------------------------------------
 
@@ -321,24 +325,28 @@ class PlacementTimingCost:
                 )
         self._analyzers.append((analyzer, offset))
 
-    def bind(self, site_of: Mapping[Any, Any]) -> None:
-        """Attach the live cell->site mapping and do the initial STA."""
+    def bind(
+        self,
+        site_of: Mapping[Any, int],
+        site_x: Sequence[int],
+        site_y: Sequence[int],
+    ) -> None:
+        """Attach the live cell -> site id mapping and the sites'
+        coordinates, then do the initial STA."""
         self._site_of = site_of
-        self.delay = [
-            self._conn_delay(i) for i in range(len(self._src_keys))
+        self._site_x = site_x
+        self._site_y = site_y
+        span = (max(site_x) - min(site_x)) + (max(site_y) - min(site_y))
+        self._delay_at = [
+            self.model.connection_delay(d) for d in range(span + 1)
         ]
+        self.delay = list(
+            self.eval_conns(range(len(self._src_keys))).values()
+        )
         self.weight = [0.0] * len(self.delay)
         self.refresh_criticalities()
 
     # -- incremental cost ---------------------------------------------------
-
-    def _conn_delay(self, index: int) -> float:
-        site_of = self._site_of
-        a = site_of[self._src_keys[index]]
-        b = site_of[self._snk_keys[index]]
-        return self.model.connection_delay(
-            abs(a.x - b.x) + abs(a.y - b.y)
-        )
 
     def conns_of(self, keys: Sequence[Any]) -> List[int]:
         """Sorted connection indices incident to any of *keys*."""
@@ -351,7 +359,7 @@ class PlacementTimingCost:
         """Current weighted cost of the given connections."""
         delay = self.delay
         weight = self.weight
-        return sum(weight[i] * delay[i] for i in indices)
+        return sum([weight[i] * delay[i] for i in indices])
 
     def eval_conns(self, indices: Sequence[int]
                    ) -> Dict[int, float]:
@@ -361,21 +369,34 @@ class PlacementTimingCost:
         :meth:`weighted_eval` for the after-cost and to :meth:`commit`
         when the move is accepted.
         """
-        return {i: self._conn_delay(i) for i in indices}
+        site_of = self._site_of
+        site_x = self._site_x
+        site_y = self._site_y
+        delay_at = self._delay_at
+        src_keys = self._src_keys
+        snk_keys = self._snk_keys
+        evaluated = {}
+        for i in indices:
+            a = site_of[src_keys[i]]
+            b = site_of[snk_keys[i]]
+            evaluated[i] = delay_at[
+                abs(site_x[a] - site_x[b]) + abs(site_y[a] - site_y[b])
+            ]
+        return evaluated
 
     def weighted_eval(self, evaluated: Mapping[int, float]) -> float:
         weight = self.weight
-        return sum(
-            weight[i] * d for i, d in evaluated.items()
-        )
+        return sum([weight[i] * d for i, d in evaluated.items()])
 
     def commit(self, evaluated: Mapping[int, float]) -> None:
         """Fold evaluated delays into the cache and the running cost."""
         delay = self.delay
         weight = self.weight
+        cost = self.cost
         for i, d in evaluated.items():
-            self.cost += weight[i] * (d - delay[i])
+            cost += weight[i] * (d - delay[i])
             delay[i] = d
+        self.cost = cost
 
     # -- per-temperature refresh --------------------------------------------
 

@@ -12,6 +12,7 @@ from repro.core.combined_placement import (
 from repro.core.merge import MergeStrategy, merge_by_index
 from repro.netlist.simulate import equivalent
 from repro.place.annealing import AnnealingSchedule
+from repro.place.cost import net_bounding_box_cost
 from repro.utils.rng import make_rng
 
 from tests.test_tunable import two_mode_circuits
@@ -28,18 +29,27 @@ class TestProblem:
             ARCH, [m0, m1], rng, strategy
         )
 
-    def test_initial_placement_legal(self):
-        p = self._problem(MergeStrategy.WIRE_LENGTH)
-        # Per mode, no two blocks share a site.
+    @staticmethod
+    def _assert_legal(p):
+        """Per mode, no two blocks share a site; pads never share one;
+        the occupancy names every cell at its own site."""
         for mode in range(2):
             sites = [
-                p.site_of[k]
-                for k in p.block_keys
-                if k[1] == mode
+                p.site_of[cell]
+                for cell, (m, _name) in enumerate(p.block_names)
+                if m == mode
             ]
             assert len(sites) == len(set(sites))
-        pad_sites = [p.site_of[k] for k in p.pad_keys]
+            assert all(site < p.n_clb for site in sites)
+        pad_sites = [p.site_of[cell] for cell in p.pad_pool]
         assert len(pad_sites) == len(set(pad_sites))
+        assert all(site >= p.n_clb for site in pad_sites)
+        for cell, site in enumerate(p.site_of):
+            assert p.cell_at[p.layer_base[cell] + site] == cell
+        assert sum(c >= 0 for c in p.cell_at) == len(p.site_of)
+
+    def test_initial_placement_legal(self):
+        self._assert_legal(self._problem(MergeStrategy.WIRE_LENGTH))
 
     def test_by_index_rejected(self):
         with pytest.raises(ValueError):
@@ -56,10 +66,21 @@ class TestProblem:
             delta = p.delta_cost(move)
             p.commit(move)
             cost += delta
+        self._assert_legal(p)
+        # From scratch, through the Site objects.
         recomputed = sum(
-            p._compute_net_cost(i) for i in range(len(p.mode_nets))
+            net_bounding_box_cost(
+                [p.sites[p.site_of[cell]].pos() for cell in cells]
+            )
+            for cells in p.nets
         )
         assert cost == pytest.approx(recomputed, rel=1e-9)
+        assert p.net_cost == [
+            net_bounding_box_cost(
+                [p.sites[p.site_of[cell]].pos() for cell in cells]
+            )
+            for cells in p.nets
+        ]
 
     def test_edge_matching_delta_matches_recompute(self):
         p = self._problem(MergeStrategy.EDGE_MATCHING)
@@ -72,9 +93,11 @@ class TestProblem:
             delta = p.delta_cost(move)
             p.commit(move)
             cost += delta
+        self._assert_legal(p)
         # From scratch: distinct site-level connection endpoints.
         distinct = {
-            p._conn_site_key(i) for i in range(len(p.mode_conns))
+            (p.sites[p.site_of[src]], p.sites[p.site_of[snk]])
+            for src, snk in zip(p.conn_src, p.conn_snk)
         }
         assert cost == len(distinct)
 
@@ -82,19 +105,22 @@ class TestProblem:
         p = self._problem(MergeStrategy.WIRE_LENGTH)
         rng = make_rng(3)
         move = None
-        while move is None or move[0] != "blk":
+        while move is None or move[0] >= len(p.block_names):
             move = p.propose(rlim=8, rng=rng)
-        _kind, key, src_site, dst_site = move
-        _tag, mode, _name = key
+        mode, _name = p.block_names[move[0]]
         other_mode = 1 - mode
-        before = {
-            k: p.site_of[k] for k in p.block_keys if k[1] == other_mode
-        }
+
+        def other_sites():
+            return {
+                key: p.site_of[cell]
+                for cell, key in enumerate(p.block_names)
+                if key[0] == other_mode
+            }
+
+        before = other_sites()
         p.commit(move)
-        after = {
-            k: p.site_of[k] for k in p.block_keys if k[1] == other_mode
-        }
-        assert before == after  # paper: other modes keep position
+        assert other_sites() == before  # paper: other modes keep position
+        self._assert_legal(p)
 
 
 class TestCombinedPlace:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.arch.architecture import Site, size_for_circuits
+from repro.arch.architecture import size_for_circuits
 from repro.arch.rrg import build_rrg
 from repro.netlist.lutcircuit import LutCircuit
 from repro.netlist.truthtable import TruthTable
@@ -140,48 +140,67 @@ class TestAnalyzer:
 
 class TestPlacementTimingCost:
     def _sites(self, circuit):
-        """A simple linear placement as a site_of mapping."""
-        site_of = {}
+        """A simple linear placement: (cell -> site id, site xs, site
+        ys), plus one spare far site (the last id) to move cells to."""
+        site_of, xs, ys = {}, [], []
+
+        def place(cell, x):
+            site_of[cell] = len(xs)
+            xs.append(x)
+            ys.append(0)
+
         x = 0
         for inp in circuit.inputs:
-            site_of[f"pad:{inp}"] = Site("pad", x, 0, 0)
+            place(f"pad:{inp}", x)
             x += 1
         for name in sorted(circuit.blocks):
-            site_of[name] = Site("clb", x, 0)
+            place(name, x)
             x += 1
         for out in circuit.outputs:
-            site_of[f"pad:{out}"] = Site("pad", x, 0, 0)
+            place(f"pad:{out}", x)
             x += 3
-        return site_of
+        xs.append(9)
+        ys.append(7)
+        return site_of, xs, ys
 
     def test_incremental_matches_recompute(self):
         c = branchy()
         config = CriticalityConfig(exponent=2.0)
         cost = PlacementTimingCost(config)
         cost.add_circuit(c)
-        site_of = self._sites(c)
-        cost.bind(site_of)
+        site_of, xs, ys = self._sites(c)
+        cost.bind(site_of, xs, ys)
         before = cost.cost
         assert before > 0
         # Move 'z' far away and commit the touched connections.
-        site_of["z"] = Site("clb", 9, 7)
+        site_of["z"] = len(xs) - 1
         touched = cost.conns_of(["z"])
         assert touched
         cost.commit(cost.eval_conns(touched))
         # The running cost equals a from-scratch weighted sum.
-        fresh = sum(
-            w * cost._conn_delay(i)
-            for i, w in enumerate(cost.weight)
+        fresh = cost.eval_conns(range(len(cost.weight)))
+        assert cost.cost == pytest.approx(
+            sum(w * fresh[i] for i, w in enumerate(cost.weight))
         )
-        assert cost.cost == pytest.approx(fresh)
         assert cost.cost > before
+        # Delays come from the delay model at Manhattan distance.
+        model = config.model
+        for i, delay in fresh.items():
+            assert delay == cost.delay[i]
+        z = site_of["z"]
+        for i in touched:
+            a = site_of[cost._src_keys[i]]
+            b = site_of[cost._snk_keys[i]]
+            assert z in (a, b)
+            assert cost.delay[i] == model.connection_delay(
+                abs(xs[a] - xs[b]) + abs(ys[a] - ys[b])
+            )
 
     def test_refresh_reflects_new_delays(self):
         c = chain(2)
         cost = PlacementTimingCost(CriticalityConfig())
         cost.add_circuit(c)
-        site_of = self._sites(c)
-        cost.bind(site_of)
+        cost.bind(*self._sites(c))
         # All arcs lie on the only path: fully critical (capped).
         cap = cost.config.max_criticality
         assert all(

@@ -19,7 +19,6 @@ Three contracts:
 """
 
 import heapq
-import os
 import pickle
 
 import pytest
@@ -33,7 +32,7 @@ from repro.route.lookahead import (
     RouterLookahead,
     build_lookahead,
 )
-from repro.route.router import validate_routing
+from repro.route.router import scalar_router_forced, validate_routing
 from repro.route.troute import (
     route_lut_circuit,
     route_tunable_circuit,
@@ -275,7 +274,7 @@ class TestPartialRipup:
     def test_batched_core_accepts_flag_as_noop(self):
         """The batched core documents partial_ripup as a no-op: the
         flag must not change its (deterministic) result."""
-        if os.environ.get("REPRO_SCALAR_ROUTER"):
+        if scalar_router_forced():
             pytest.skip(
                 "REPRO_SCALAR_ROUTER overrides batched dispatch; "
                 "the scalar core does honour partial_ripup"

@@ -62,7 +62,6 @@ PERTURBED = {
     "criticality_exponent": 4.0,
     "timing_tradeoff": 0.25,
     "batched_router": True,
-    "batched_placer": True,
     "router_lookahead": True,
     "partial_ripup": True,
 }

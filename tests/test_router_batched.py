@@ -1,5 +1,4 @@
-"""Batched-wavefront router and batched annealer (the PR's QoR
-contract).
+"""Batched-wavefront router (its QoR contract).
 
 The batched router (:mod:`repro.route.batched`) is *not* bit-identical
 to the scalar/vectorized cores — its bucket queue settles whole
@@ -13,11 +12,11 @@ rip-up work — so these tests pin what it does guarantee instead:
   are replayed in canonical net order, so thread fan-out cannot leak
   into the answer);
 * stage-cache keys that keep batched and non-batched results apart
-  (warm reruns of either flag reproduce their cold runs).
+  (warm reruns reproduce their cold runs).
 
-The batched annealer (:func:`repro.place.annealing.anneal_batched`)
-carries the same contract: deterministic per seed, legal, QoR within
-tolerance of the scalar engine.
+The core is selected at dispatch time unless ``REPRO_SCALAR_ROUTER``
+forces the scalar reference, so the tests that need the batched core
+unset that variable first.
 """
 
 import pytest
@@ -80,7 +79,8 @@ def _assert_identical(a, b):
 
 
 class TestDispatch:
-    def test_batched_flag_selects_batched_core(self):
+    def test_batched_flag_selects_batched_core(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALAR_ROUTER", raising=False)
         _n, modes, _a, rrg, _p, _s = _pair_fixture("fsm")
         router = PathFinderRouter(rrg, n_modes=1, batched=True)
         assert isinstance(router, BatchedPathFinderRouter)
@@ -173,7 +173,8 @@ class TestWorkerIndependence:
         _assert_identical(results[1], results[2])
         _assert_identical(results[1], results[4])
 
-    def test_stats_accumulate(self):
+    def test_stats_accumulate(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALAR_ROUTER", raising=False)
         _n, modes, _a, rrg, placements, _s = _pair_fixture("fsm")
         stats = RouterStats()
         route_lut_circuit(
@@ -187,15 +188,12 @@ class TestWorkerIndependence:
 
 
 class TestBatchedFlagsThroughFlow:
-    """Warm/cold stage-cache identity for both batched knobs."""
+    """Warm/cold stage-cache identity for the batched-router knob."""
 
     @pytest.mark.parametrize(
         "options",
-        [
-            FlowOptions(seed=0, inner_num=0.1, batched_router=True),
-            FlowOptions(seed=0, inner_num=0.1, batched_placer=True),
-        ],
-        ids=["batched_router", "batched_placer"],
+        [FlowOptions(seed=0, inner_num=0.1, batched_router=True)],
+        ids=["batched_router"],
     )
     def test_warm_rerun_reproduces_cold(self, options, tmp_path):
         from repro.core.flow import implement_multi_mode
@@ -222,7 +220,6 @@ class TestBatchedFlagsThroughFlow:
         (or vice versa) — the cores are not bit-identical."""
         from repro.core.flow import (
             dcs_stage_inputs,
-            place_stage_inputs,
             route_lut_stage_inputs,
         )
         from repro.core.merge import MergeStrategy
@@ -233,9 +230,6 @@ class TestBatchedFlagsThroughFlow:
         router_on = FlowOptions(
             seed=0, inner_num=0.1, batched_router=True
         )
-        placer_on = FlowOptions(
-            seed=0, inner_num=0.1, batched_placer=True
-        )
         circuit, placement = modes[0], placements[0]
         assert fingerprint(
             *route_lut_stage_inputs(circuit, placement, arch, base)
@@ -243,11 +237,6 @@ class TestBatchedFlagsThroughFlow:
             *route_lut_stage_inputs(
                 circuit, placement, arch, router_on
             )
-        )
-        assert fingerprint(
-            *place_stage_inputs(circuit, arch, base, 0)
-        ) != fingerprint(
-            *place_stage_inputs(circuit, arch, placer_on, 0)
         )
         assert fingerprint(
             *dcs_stage_inputs(
@@ -260,76 +249,3 @@ class TestBatchedFlagsThroughFlow:
                 MergeStrategy.WIRE_LENGTH, router_on,
             )
         )
-
-
-class TestBatchedAnnealer:
-    def _problem_inputs(self, family="fsm"):
-        _n, modes, arch, _r, _p, schedule = _pair_fixture(family)
-        return modes[0], arch, schedule
-
-    def test_deterministic_per_seed(self):
-        circuit, arch, schedule = self._problem_inputs()
-        a = place_circuit(
-            circuit, arch, seed=5, schedule=schedule, batched=True
-        )
-        b = place_circuit(
-            circuit, arch, seed=5, schedule=schedule, batched=True
-        )
-        assert a.sites == b.sites
-        assert a.cost == b.cost
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_legal_and_within_gate(self, family):
-        circuit, arch, schedule = self._problem_inputs(family)
-        scalar = place_circuit(circuit, arch, seed=1, schedule=schedule)
-        batched = place_circuit(
-            circuit, arch, seed=1, schedule=schedule, batched=True
-        )
-        # Legality: a distinct site per cell, right site kinds.
-        assert len(set(batched.sites.values())) == len(batched.sites)
-        for cell, site in batched.sites.items():
-            expected = "pad" if cell.startswith("pad:") else "clb"
-            assert site.kind == expected
-        assert batched.cost <= WL_TOLERANCE * scalar.cost
-
-    def test_timing_driven_falls_back_to_scalar(self):
-        """Timing-driven placement ignores the batched flag (batch
-        pricing covers the wire-length cost only) — bit-identical to
-        the scalar timing-driven run."""
-        circuit, arch, schedule = self._problem_inputs()
-        timing = FlowOptions(
-            seed=0, inner_num=0.1, timing_driven=True
-        ).criticality()
-        scalar = place_circuit(
-            circuit, arch, seed=2, schedule=schedule, timing=timing
-        )
-        batched = place_circuit(
-            circuit, arch, seed=2, schedule=schedule, timing=timing,
-            batched=True,
-        )
-        assert scalar.sites == batched.sites
-
-    def test_batch_delta_matches_scalar_pricing(self):
-        """Vector prices must equal delta_cost bit for bit on a
-        frozen placement."""
-        from repro.place.placer import (
-            _SinglePlacementProblem,
-            circuit_cells,
-            circuit_nets,
-        )
-        from repro.utils.rng import make_rng
-
-        circuit, arch, _schedule = self._problem_inputs()
-        rng = make_rng(9, "batch-delta")
-        logic, pads = circuit_cells(circuit)
-        problem = _SinglePlacementProblem(
-            arch, logic, pads, circuit_nets(circuit), rng
-        )
-        moves = []
-        while len(moves) < 32:
-            move = problem.propose(rlim=float("inf"), rng=rng)
-            if move is not None:
-                moves.append(move)
-        vector = problem.batch_delta(moves)
-        for move, batched_delta in zip(moves, vector):
-            assert batched_delta == problem.delta_cost(move), move

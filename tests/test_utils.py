@@ -1,8 +1,13 @@
-"""Tests for the generic utilities (union-find, seeded RNG)."""
+"""Tests for the generic utilities (union-find, seeded RNG, boolean
+environment flags)."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.exec.cache import StageCache
+from repro.route.router import scalar_router_forced
 from repro.utils.disjoint_set import DisjointSet
+from repro.utils.env import env_flag
 from repro.utils.rng import make_rng
 
 
@@ -84,3 +89,59 @@ class TestRng:
         a = make_rng(7, "place")
         b = make_rng(7, "place")
         assert a.random() == b.random()
+
+
+ON_SPELLINGS = ["1", "true", "yes", "on", "TRUE", "Yes", "oN"]
+OFF_SPELLINGS = ["0", "false", "no", "off", "", "FALSE", "No", "OFF"]
+MALFORMED = ["2", "enable", "y", " 1", "true "]
+
+
+class TestEnvFlag:
+    FLAG = "REPRO_TEST_FLAG"
+
+    @pytest.mark.parametrize("value", ON_SPELLINGS)
+    def test_on_spellings(self, monkeypatch, value):
+        monkeypatch.setenv(self.FLAG, value)
+        assert env_flag(self.FLAG) is True
+
+    @pytest.mark.parametrize("value", OFF_SPELLINGS)
+    def test_off_spellings(self, monkeypatch, value):
+        monkeypatch.setenv(self.FLAG, value)
+        assert env_flag(self.FLAG) is False
+
+    def test_unset_is_off(self, monkeypatch):
+        monkeypatch.delenv(self.FLAG, raising=False)
+        assert env_flag(self.FLAG) is False
+
+    @pytest.mark.parametrize("value", MALFORMED)
+    def test_malformed_value_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv(self.FLAG, value)
+        with pytest.raises(ValueError, match=self.FLAG):
+            env_flag(self.FLAG)
+
+
+class TestFlagConsumers:
+    """``=0`` used to switch both flags on (any non-empty string
+    did)."""
+
+    @pytest.mark.parametrize(
+        "value, forced", [("0", False), ("false", False), ("1", True)]
+    )
+    def test_scalar_router(self, monkeypatch, value, forced):
+        monkeypatch.setenv("REPRO_SCALAR_ROUTER", value)
+        assert scalar_router_forced() is forced
+
+    @pytest.mark.parametrize(
+        "value, enabled", [("0", True), ("off", True), ("yes", False)]
+    )
+    def test_cache_disable(self, monkeypatch, tmp_path, value, enabled):
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", value)
+        assert StageCache(tmp_path).enabled is enabled
+
+    def test_malformed_values_raise(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SCALAR_ROUTER", "scalar")
+        with pytest.raises(ValueError, match="REPRO_SCALAR_ROUTER"):
+            scalar_router_forced()
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "maybe")
+        with pytest.raises(ValueError, match="REPRO_CACHE_DISABLE"):
+            StageCache(tmp_path)
