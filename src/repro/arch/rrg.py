@@ -67,6 +67,15 @@ class RoutingResourceGraph:
     _base_cost: Optional[List[float]] = field(
         default=None, repr=False, compare=False
     )
+    _wire_out: Optional[List[Tuple[Tuple[int, int], ...]]] = field(
+        default=None, repr=False, compare=False
+    )
+    _pin_src: Optional[List[Tuple[int, ...]]] = field(
+        default=None, repr=False, compare=False
+    )
+    _max_span: Optional[int] = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- construction helpers ----------------------------------------------
 
@@ -164,10 +173,64 @@ class RoutingResourceGraph:
             ]
         return self._base_cost
 
+    def wire_neighbors(self) -> List[Tuple[Tuple[int, int], ...]]:
+        """Per node, its out-edges into WIRE nodes — the ``(dst,
+        bit)`` tuples of ``adjacency``, shared, in the same order.
+
+        Every other edge ends in a pin (WIRE→IPIN, IPIN→SINK), and a
+        pin leads only to its own block's SINK, so a search toward one
+        SINK needs just the pin edges of that block on top of these
+        (see :meth:`pin_sources`).
+        """
+        if self._wire_out is None:
+            kinds = self.node_kind
+            self._wire_out = [
+                tuple(edge for edge in edges if kinds[edge[0]] == WIRE)
+                for edges in self.adjacency
+            ]
+        return self._wire_out
+
+    def pin_sources(self) -> List[Tuple[int, ...]]:
+        """Per node that is not a WIRE, the sources of its in-edges in
+        ascending order; empty for wires, whose in-edges
+        :meth:`wire_neighbors` already holds."""
+        if self._pin_src is None:
+            kinds = self.node_kind
+            sources: List[List[int]] = [[] for _ in range(self.n_nodes)]
+            for src, edges in enumerate(self.adjacency):
+                for dst, _bit in edges:
+                    if kinds[dst] != WIRE:
+                        sources[dst].append(src)
+            self._pin_src = [tuple(srcs) for srcs in sources]
+        return self._pin_src
+
+    def max_edge_span(self) -> int:
+        """Widest Manhattan distance between the two ends of any edge.
+
+        Every hop of a path closes the Manhattan distance to its
+        target by at most this much, which is what bounds a consistent
+        A* weight (see ``VectorizedPathFinderRouter``).  In the
+        unit-segment fabric it is 2: the switch-box turns between
+        ``chanx(x+1, y)`` and ``chany(x, y+1)``.
+        """
+        if self._max_span is None:
+            xs, ys = self.node_x, self.node_y
+            self._max_span = max(
+                (
+                    abs(xs[src] - xs[dst]) + abs(ys[src] - ys[dst])
+                    for src, edges in enumerate(self.adjacency)
+                    for dst, _bit in edges
+                ),
+                default=0,
+            )
+        return self._max_span
+
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_csr"] = None
-        state["_base_cost"] = None
+        for name in (
+            "_csr", "_base_cost", "_wire_out", "_pin_src", "_max_span",
+        ):
+            state[name] = None
         return state
 
 

@@ -98,10 +98,11 @@ class BatchedPathFinderRouter(VectorizedPathFinderRouter):
         if self.stats is None:
             self.stats = RouterStats()
         n = self._n_nodes
-        # numpy CSR twins (the inherited views are Python lists).
-        self._np_row_ptr = np.asarray(self._row_ptr, dtype=np.int64)
-        self._np_edge_dst = np.asarray(self._edge_dst, dtype=np.int64)
-        self._np_edge_bit = np.asarray(self._edge_bit, dtype=np.int64)
+        # numpy twins of the RRG's CSR views.
+        row_ptr, edge_dst, edge_bit = self.rrg.neighbor_arrays()
+        self._np_row_ptr = np.asarray(row_ptr, dtype=np.int64)
+        self._np_edge_dst = np.asarray(edge_dst, dtype=np.int64)
+        self._np_edge_bit = np.asarray(edge_bit, dtype=np.int64)
         self._nonsink_mask = (
             np.asarray(self.rrg.node_kind, dtype=np.int64) != SINK
         )

@@ -232,7 +232,7 @@ class RouterLookahead:
 
     Untimed searches use :meth:`cost_list_scaled` (pre-scaled by the
     router's ``astar_fac``, which already carries the affinity floor —
-    the same scaling that keeps the Manhattan heuristic admissible).
+    the same scaling the Manhattan heuristic uses).
     Timed searches blend the *unscaled* cost and delay vectors per
     relaxation as ``inv_crit * astar_fac * cost + crit * delay``:
     caching unscaled vectors per target keeps one entry per target

@@ -29,14 +29,33 @@ connection router of Vansteenkiste et al. that TRoute builds on):
   reroute every net with these discounts active, keeping the legal
   solution with the fewest parameterised bits.
 
-The search is multi-source A* with an admissible Manhattan-distance
-heuristic: every node beyond the frontier costs at least its unit base
-cost, so the heuristic never overestimates.  ``lookahead=`` swaps in
-the precomputed fabric lower bounds of
-:mod:`repro.route.lookahead` (tighter, still admissible), and
-``partial_ripup=True`` keeps a dirty net's congestion-free subtrees
-across rip-up; both are opt-in because they change equal-cost
-tie-breaks relative to the defaults.
+The search is multi-source A* with the heuristic ``astar_fac *
+M(n, target)``, ``M`` the integer Manhattan distance.  The weight is
+capped at the affinity floor ``net_affinity * bit_affinity``, the
+cheapest a hop can be, but that does not make the bound consistent:
+the switch-box turn ``chanx(x+1, y) -> chany(x, y+1)`` closes 2
+Manhattan units in one hop, so Manhattan is consistent only up to
+weight floor/2.  What actually holds:
+
+* TRoute's untimed weight (0.15 at the flow defaults) is consistent
+  for connections active in every mode (no discount applies, floor 1)
+  but not for the others, whose hops can cost 0.15.
+* MDR's weight of 1.0 is not consistent.
+* The timed blend ``(1 - crit) * astar_fac + crit * wire_delay`` is
+  not consistent for critical connections: a wire->IPIN hop adds
+  ``pin_delay + switch_delay = 0.2`` of delay per Manhattan unit,
+  against the bound's ``wire_delay`` of 0.3.  For connections active
+  in every mode the E-N turn breaks it above a criticality of about
+  0.82.
+
+The kernels never reopen a settled node, so an inconsistent bound can
+settle a node before its cheapest path is known.  That behaviour is
+deterministic and part of what the cores agree on bit for bit.
+``lookahead=`` swaps in the precomputed fabric lower bounds of
+:mod:`repro.route.lookahead` (tighter; that module argues its bound),
+and ``partial_ripup=True`` keeps a dirty net's congestion-free
+subtrees across rip-up; both are opt-in because they change
+equal-cost tie-breaks relative to the defaults.
 
 Two interchangeable negotiation cores implement the search:
 
@@ -44,8 +63,8 @@ Two interchangeable negotiation cores implement the search:
   node at a time (the implementation every result is defined
   against);
 * the **vectorized core** (:mod:`repro.route.vectorized`) — numpy
-  array math over the same CSR views, bit-identical by construction
-  and roughly twice as fast on real workloads.
+  array math over whole-graph price vectors, bit-identical by
+  construction and roughly twice as fast on real workloads.
 
 ``PathFinderRouter(...)`` constructs the vectorized core by default;
 ``REPRO_SCALAR_ROUTER=1`` in the environment (or numpy being
@@ -191,6 +210,9 @@ def validate_routing(result: "RoutingResult") -> None:
     * every connection is electrically connected: its path starts at
       the net's source or at a node another connection of the same net
       (covering the same modes) drives.
+
+    The checks raise explicitly rather than through ``assert``
+    statements, so they still run under ``python -O``.
     """
     rrg = result.rrg
     # Per (mode, node): distinct nets.
@@ -202,10 +224,11 @@ def validate_routing(result: "RoutingResult") -> None:
                     route.request.net
                 )
     for (mode, node), nets in users.items():
-        assert len(nets) <= rrg.node_capacity[node], (
-            f"node {rrg.describe(node)} carries {len(nets)} nets "
-            f"in mode {mode}"
-        )
+        if len(nets) > rrg.node_capacity[node]:
+            raise AssertionError(
+                f"node {rrg.describe(node)} carries {len(nets)} nets "
+                f"in mode {mode}"
+            )
     edge_set = {
         (src, dst)
         for src in range(rrg.n_nodes)
@@ -220,9 +243,12 @@ def validate_routing(result: "RoutingResult") -> None:
         for (u, v, _bit), a, b in zip(
             route.edges, nodes, nodes[1:]
         ):
-            assert (u, v) == (a, b), "edge list is not a path"
-            assert (u, v) in edge_set, "edge missing from RRG"
-        assert nodes[-1] == route.request.sink, "path misses sink"
+            if (u, v) != (a, b):
+                raise AssertionError("edge list is not a path")
+            if (u, v) not in edge_set:
+                raise AssertionError("edge missing from RRG")
+        if nodes[-1] != route.request.sink:
+            raise AssertionError("path misses sink")
     for mode in range(result.n_modes):
         # per net: grow reachable set from the source.
         by_net: Dict[str, List[ConnectionRoute]] = {}
@@ -247,10 +273,11 @@ def validate_routing(result: "RoutingResult") -> None:
                     else:
                         remaining.append(route)
                 pending = remaining
-            assert not pending, (
-                f"net {net}: {len(pending)} connections stranded "
-                f"from the source in mode {mode}"
-            )
+            if pending:
+                raise AssertionError(
+                    f"net {net}: {len(pending)} connections stranded "
+                    f"from the source in mode {mode}"
+                )
 
 
 def scalar_router_forced() -> bool:
@@ -346,7 +373,7 @@ class PathFinderRouter:
         # wires its sibling modes use: overlapping wires hold the same
         # value in every overlapped mode, so their switch bits stop
         # being mode-dependent.  The A* weight is capped at the
-        # affinity so the heuristic stays admissible.
+        # affinity floor below.
         if not 0.0 < net_affinity <= 1.0:
             raise ValueError("net_affinity must be in (0, 1]")
         # bit_affinity < 1 discounts switches whose bit is already on
@@ -359,8 +386,9 @@ class PathFinderRouter:
         self.net_affinity = net_affinity
         self.bit_affinity = bit_affinity
         self.sharing_passes = sharing_passes
-        # Both discounts can compound on one step, so the admissible
-        # per-node floor is their product.
+        # Both discounts can compound on one step, so the per-hop
+        # floor is their product (see the module docstring for what
+        # this weight does and does not guarantee).
         self.astar_fac = min(astar_fac, net_affinity * bit_affinity)
 
         n = rrg.n_nodes
@@ -381,9 +409,6 @@ class PathFinderRouter:
         # search scratch: dist/parent/visited are epoch-stamped arrays,
         # so starting a new search is O(1) instead of allocating fresh
         # dicts for every one of the thousands of connection routes.
-        self._row_ptr, self._edge_dst, self._edge_bit = (
-            rrg.neighbor_arrays()
-        )
         self._base = rrg.base_cost_array()
         self._parent_node = [-1] * n
         self._parent_bit = [-1] * n
@@ -401,16 +426,20 @@ class PathFinderRouter:
             ]
 
     def _init_scratch(self, n: int) -> None:
-        """Search scratch of the scalar relaxation loops.
+        """Graph views and search scratch of the scalar relaxation
+        loops.
 
-        Epoch-stamped distance/visited arrays plus the per-search
-        node-pricing cache: within one connection search a node's
-        cost is bit-independent except for the bit-affinity
-        multiplier, so the expensive part (occupancy, history, net
-        affinity, noise) is computed once per node per search instead
-        of once per incoming edge.  The vectorized core overrides
-        this with its own (array-priced) scratch.
+        The RRG's CSR neighbour arrays, epoch-stamped distance/visited
+        arrays and the per-search node-pricing cache: within one
+        connection search a node's cost is bit-independent except for
+        the bit-affinity multiplier, so the expensive part (occupancy,
+        history, net affinity, noise) is computed once per node per
+        search instead of once per incoming edge.  The vectorized core
+        overrides this with its own (array-priced) scratch.
         """
+        self._row_ptr, self._edge_dst, self._edge_bit = (
+            self.rrg.neighbor_arrays()
+        )
         self._dist = [0.0] * n
         self._dist_epoch = [0] * n
         self._visited_epoch = [0] * n
@@ -529,7 +558,8 @@ class PathFinderRouter:
         # Deterministic per-(net, node) jitter breaks the symmetric
         # ties that otherwise let two equal-cost nets swap the same
         # pair of resources forever (a PathFinder livelock).  The
-        # jitter is non-negative, so the heuristic stays admissible.
+        # jitter is non-negative, so no cost drops below the floor
+        # the A* weight assumes.
         noise = ((net_salt ^ (node * 0x9E3779B9)) & 0xFFFF) / 0xFFFF
         return cost + 0.01 * noise
 

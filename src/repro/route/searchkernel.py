@@ -24,7 +24,10 @@ Three kernel families live here:
     static_set`` is always false and the kernel evaluates the exact
     same float expression as the old no-bit loop — merging is
     decision-for-decision identical, which the equivalence suite
-    (``tests/test_router_equivalence.py``) continues to assert.
+    (``tests/test_router_equivalence.py``) continues to assert.  They
+    search only wire edges plus the target block's pin edges and seed
+    only live nodes, which skips heap entries that could never relax
+    anything.
 
 ``bucket_search_untimed`` / ``bucket_search_timed``
     The batched-wavefront engine: a bucket (delta-stepping) priority
@@ -221,9 +224,10 @@ def scalar_search(
 
     # Multi-source A*: the net's existing route tree (nodes it
     # occupies in every requested mode) is free to start from, so
-    # connections naturally branch off their net's trunk.  Beyond
-    # the frontier every node costs >= 1, which keeps the Manhattan
-    # heuristic admissible.
+    # connections naturally branch off their net's trunk.  The
+    # weighted Manhattan bound is consistent only up to weight
+    # floor/2 (a switch-box turn closes 2 units in one hop); see the
+    # router module docstring for which searches that covers.
     starts = {request.source}
     starts.update(router._trunk_nodes(request))
     heap: List[Tuple[float, float, int]] = []
@@ -358,8 +362,11 @@ def scalar_search_timed(
     is priced VPR-style as ``crit * delay + (1 - crit) * congestion``
     with ``delay`` the DelayModel edge delay (destination-node
     intrinsic delay plus a switch delay when the edge carries a
-    configuration bit).  The A* weight shrinks accordingly, so the
-    heuristic stays as admissible as the untimed one."""
+    configuration bit).  The A* weight blends to ``inv_crit *
+    astar_fac + crit * wire_delay``, which is not consistent for
+    critical connections: a wire->IPIN hop adds less delay per
+    Manhattan unit (``pin_delay + switch_delay``) than
+    ``wire_delay``."""
     rrg = router.rrg
     target = request.sink
     node_x = rrg.node_x
@@ -580,8 +587,8 @@ def heap_search_untimed(
     pn: List[float],
     pnA: List[float],
     static_set,
-    nbr_main,
-    nbr_sink,
+    nbr,
+    tadj,
     dist: List[float],
     parent_node: List[int],
     parent_bit: List[int],
@@ -589,14 +596,20 @@ def heap_search_untimed(
 ) -> bool:
     """Untimed heap search over precomputed price lists.
 
-    ``dist`` is the caller's fresh ``[+inf] * n`` sentinel list
-    (+inf = unseen, -inf = settled).  With ``static_set`` empty the
-    per-edge discount test is dead and the kernel is
-    decision-identical to the historical no-bit loop; callers without
-    a live discount pass ``pnA=pn`` and :data:`EMPTY_STATIC`.  ``h``
-    is whatever per-target heuristic list the caller precomputed
-    (Manhattan or lookahead) — the kernel is agnostic.
-    Returns whether *target* was reached (parents are valid then)."""
+    The search graph is *target*'s: ``nbr`` holds every node's
+    wire-bound edges and ``tadj`` replaces them, for the few nodes
+    with an edge toward the target's own pins, by the same edges plus
+    those pin edges (see ``VectorizedPathFinderRouter``).  Every other
+    pin is a dead end, so it is never pushed, and a seed with no edge
+    in this graph is never seeded.  ``dist`` is the caller's fresh
+    ``[+inf] * n`` sentinel list (+inf = unseen, -inf = settled).
+    With ``static_set`` empty the per-edge discount test is dead and
+    the kernel is decision-identical to the historical no-bit loop;
+    callers without a live discount pass ``pnA=pn`` and
+    :data:`EMPTY_STATIC`.  ``h`` is whatever per-target heuristic list
+    the caller precomputed (Manhattan or lookahead) — the kernel is
+    agnostic.  Returns whether *target* was reached (parents are
+    valid then)."""
     heappush = heapq.heappush
     heappop = heapq.heappop
     neg_inf = _NEG_INF
@@ -604,6 +617,8 @@ def heap_search_untimed(
 
     heap: List[Tuple[float, float, int]] = []
     for start in starts:
+        if not (nbr[start] or start in tadj or start == target):
+            continue
         dist[start] = 0.0
         heappush(heap, (h[start], 0.0, start))
     n_pushes += len(heap)
@@ -618,20 +633,7 @@ def heap_search_untimed(
         if node == target:
             found = True
             break
-        for nxt, bit in nbr_main[node]:
-            if bit >= 0 and bit in static_set:
-                ng = g + pnA[nxt]
-            else:
-                ng = g + pn[nxt]
-            if ng < dist[nxt]:
-                dist[nxt] = ng
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                heappush(heap, (ng + h[nxt], ng, nxt))
-        for nxt, bit in nbr_sink[node]:
-            if nxt != target:
-                continue
+        for nxt, bit in tadj.get(node) or nbr[node]:
             if bit >= 0 and bit in static_set:
                 ng = g + pnA[nxt]
             else:
@@ -663,8 +665,8 @@ def heap_search_timed(
     pn: List[float],
     pnA: List[float],
     static_set,
-    nbr_main,
-    nbr_sink,
+    nbr,
+    tadj,
     dist: List[float],
     parent_node: List[int],
     parent_bit: List[int],
@@ -680,8 +682,8 @@ def heap_search_timed(
     (``lkc``/``lkd`` unscaled cost/delay vectors) the heuristic is
     the blend ``lk_a * lkc + lk_b * lkd`` instead — the exact
     expression :func:`scalar_search_timed` evaluates, preserving
-    scalar/vectorized bit-identity.  Same merged-variant contract as
-    :func:`heap_search_untimed`."""
+    scalar/vectorized bit-identity.  Same search graph, seeding and
+    merged-variant contract as :func:`heap_search_untimed`."""
     tx, ty = node_x[target], node_y[target]
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -690,6 +692,8 @@ def heap_search_timed(
 
     heap: List[Tuple[float, float, int]] = []
     for start in starts:
+        if not (nbr[start] or start in tadj or start == target):
+            continue
         dist[start] = 0.0
         if lkc is not None:
             heappush(
@@ -716,41 +720,7 @@ def heap_search_timed(
         if node == target:
             found = True
             break
-        for nxt, bit in nbr_main[node]:
-            if bit < 0:
-                ng = g + (inv_crit * pn[nxt] + crit * nd[nxt])
-            elif bit in static_set:
-                ng = g + (inv_crit * pnA[nxt] + crit * nds[nxt])
-            else:
-                ng = g + (inv_crit * pn[nxt] + crit * nds[nxt])
-            if ng < dist[nxt]:
-                dist[nxt] = ng
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                if lkc is not None:
-                    heappush(
-                        heap,
-                        (
-                            ng
-                            + (lk_a * lkc[nxt] + lk_b * lkd[nxt]),
-                            ng,
-                            nxt,
-                        ),
-                    )
-                else:
-                    dx = node_x[nxt] - tx
-                    if dx < 0:
-                        dx = -dx
-                    dy = node_y[nxt] - ty
-                    if dy < 0:
-                        dy = -dy
-                    heappush(
-                        heap, (ng + astar_fac * (dx + dy), ng, nxt)
-                    )
-        for nxt, bit in nbr_sink[node]:
-            if nxt != target:
-                continue
+        for nxt, bit in tadj.get(node) or nbr[node]:
             if bit < 0:
                 ng = g + (inv_crit * pn[nxt] + crit * nd[nxt])
             elif bit in static_set:

@@ -1,4 +1,4 @@
-"""Vectorized PathFinder negotiation core (numpy over the CSR arrays).
+"""Vectorized PathFinder negotiation core (numpy over whole-graph vectors).
 
 :class:`VectorizedPathFinderRouter` re-implements the two hot
 relaxation loops of :class:`~repro.route.router.PathFinderRouter`
@@ -9,7 +9,7 @@ bit-sharing reference counts only change *between* searches.  A node's
 price is therefore a pure function of the node for the whole search,
 so instead of pricing nodes lazily one dict probe at a time, the
 router prices the **entire graph at once** as numpy array math over
-the CSR views introduced with the flat-graph refactor:
+per-node vectors, and searches the RRG's wire-only neighbour tuples:
 
 ``price = (base + history) * (1 + pres_fac * overuse) [* affinities]``
 ``edge cost = crit * delay + (1 - crit) * (price + noise)``
@@ -30,11 +30,26 @@ implementation's exact operation order and grouping (float addition is
 not associative; a one-ULP difference flips equal-cost tie-breaks), so
 the vectorized search makes byte-identical decisions: identical
 routes, wirelength, iteration counts and cached-result pickles.  The
-only structural liberty taken is scanning a node's sink-bound edges
-after its other edges — legal because a blocked sink is skipped either
-way, relaxations of different destination nodes are independent, and
-the heap pops entries in value order regardless of push order.  The
-A/B property test (``tests/test_router_equivalence.py``) asserts
+search takes three structural liberties, none of which can change a
+decision (only the ``RouterStats`` counters differ from the scalar
+core's):
+
+* **Dead-end pins.**  A pin leads only to its own block's SINK, so an
+  IPIN of any block but the target's, and any SINK but the target,
+  can never reach the target.  The kernels search the wire-only
+  neighbour tuples plus a per-target overlay holding the target
+  block's pin edges, placed after each node's wire edges — the
+  relaxations out of one node reach distinct nodes, and the heap pops
+  entries in value order regardless of push order.  The dropped heap
+  entries never relaxed anything, so every other entry still pops in
+  the same order.
+* **Live seeds.**  Trunk seeds with no edge in that graph (other
+  connections' SINKs and IPINs) are not pushed, for the same reason.
+* **Shared-connection weight.**  Untimed searches of connections
+  active in every mode use ``max(astar_fac, 1/max_edge_span)``
+  instead of the affinity floor; see ``_route_connection``.
+
+The A/B property test (``tests/test_router_equivalence.py``) asserts
 bit-identity across circuit families, pricing modes and connection
 shapes, and ``REPRO_SCALAR_ROUTER=1`` swaps the scalar reference back
 in at construction time (the nightly CI runs the whole tier-1 suite
@@ -66,7 +81,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.rrg import SINK, WIRE
+from repro.arch.rrg import WIRE
 from repro.route.router import (
     ConnectionRoute,
     PathFinderRouter,
@@ -123,28 +138,22 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         self._np_cap = np.asarray(rrg.node_capacity, dtype=np.int64)
         self._np_x = np.asarray(rrg.node_x, dtype=np.int64)
         self._np_y = np.asarray(rrg.node_y, dtype=np.int64)
-        kinds = rrg.node_kind
         self._wire_mask = (
-            np.asarray(kinds, dtype=np.int64) == WIRE
+            np.asarray(rrg.node_kind, dtype=np.int64) == WIRE
         )
-        # Neighbor tuples split by destination kind: the inner loop
-        # scans sink-free edges with no kind check at all, and the one
-        # sink edge a pin node may have is handled separately (a
-        # blocked sink is skipped either way, so the reordering cannot
-        # change any relaxation — see the module docstring).
-        nbr_main: List[Tuple[Tuple[int, int], ...]] = []
-        nbr_sink: List[Tuple[Tuple[int, int], ...]] = []
-        for edges in rrg.adjacency:
-            main: List[Tuple[int, int]] = []
-            sink: List[Tuple[int, int]] = []
-            for dst, bit in edges:
-                (sink if kinds[dst] == SINK else main).append(
-                    (dst, bit)
-                )
-            nbr_main.append(tuple(main))
-            nbr_sink.append(tuple(sink))
-        self._nbr_main = nbr_main
-        self._nbr_sink = nbr_sink
+        # The heap kernels' search graph: wire-bound edges for every
+        # node, plus per target the edges toward its own pins (see
+        # _target_adjacency and the module docstring).
+        self._nbr = rrg.wire_neighbors()
+        self._tadj: Dict[int, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
+        # A* weight of connections active in every mode: see
+        # _route_connection.  The lookahead's bound has another shape
+        # and keeps the plain weight.
+        self._shared_fac = self.astar_fac
+        if self.lookahead is None:
+            self._shared_fac = max(
+                self.astar_fac, 1.0 / max(rrg.max_edge_span(), 1)
+            )
         # Per-node part of the tie-break jitter; XORing the net salt
         # in is the only per-search step.
         self._noise_mul = np.arange(n, dtype=np.int64) * _NOISE_MUL
@@ -192,8 +201,9 @@ class VectorizedPathFinderRouter(PathFinderRouter):
 
     def _init_scratch(self, n: int) -> None:
         """The vectorized loops price via whole-graph vectors and a
-        fresh sentinel dist list per search, so the scalar core's
-        seven O(n) scratch arrays are never allocated here."""
+        fresh sentinel dist list per search over the neighbour tuples,
+        so the scalar core's CSR views and seven O(n) scratch arrays
+        are never allocated here."""
 
     # -- cache invalidation --------------------------------------------------
 
@@ -427,7 +437,19 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         pn, pnA, static_set, use_bit = self._price_vectors(
             request, pres_fac
         )
-        h = self._heuristic(request.sink, self.astar_fac)
+        # A connection active in every mode can take neither affinity
+        # discount, so each hop into a non-sink node costs at least 1
+        # and closes the Manhattan distance by at most the graph's
+        # edge span (a hop into a SINK spans 0).  Any weight up to
+        # 1/span is then consistent, and so is the affinity floor
+        # below it.  Both settle every node at its optimal distance
+        # and rank equal-distance nodes in the same Manhattan order,
+        # so the larger weight changes no route, only skips pops.
+        if len(request.modes) == self.n_modes:
+            astar_fac = self._shared_fac
+        else:
+            astar_fac = self.astar_fac
+        h = self._heuristic(request.sink, astar_fac)
         starts = self._seed(request)
         dist = [_INF] * self._n_nodes
         found = heap_search_untimed(
@@ -437,8 +459,8 @@ class VectorizedPathFinderRouter(PathFinderRouter):
             pn,
             pnA if use_bit else pn,
             static_set if use_bit else EMPTY_STATIC,
-            self._nbr_main,
-            self._nbr_sink,
+            self._nbr,
+            self._target_adjacency(request.sink),
             dist,
             self._parent_node,
             self._parent_bit,
@@ -495,8 +517,8 @@ class VectorizedPathFinderRouter(PathFinderRouter):
             pn,
             pnA if use_bit else pn,
             static_set if use_bit else EMPTY_STATIC,
-            self._nbr_main,
-            self._nbr_sink,
+            self._nbr,
+            self._target_adjacency(request.sink),
             dist,
             self._parent_node,
             self._parent_bit,
@@ -509,6 +531,38 @@ class VectorizedPathFinderRouter(PathFinderRouter):
         if not found:
             raise self._no_path(request)
         return self._backtrack(request, starts)
+
+    def _target_adjacency(
+        self, target: int
+    ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """The heap kernels' per-target overlay on the wire-only
+        neighbour tuples.  It maps each node with an edge into a pin
+        that leads to *target* (the target block's IPINs and their
+        in-wires) to its wire edges plus those pin edges, in
+        ``adjacency`` order.  Every other pin is a dead end for this
+        target and stays out of the search."""
+        tadj = self._tadj.get(target)
+        if tadj is None:
+            rrg = self.rrg
+            pin_src = rrg.pin_sources()
+            # The target and the pins leading to it: a source with
+            # in-edges of its own is a pin (wires and OPINs have none).
+            live = [target]
+            for pin in live:
+                for src in pin_src[pin]:
+                    if pin_src[src] and src not in live:
+                        live.append(src)
+            kinds = rrg.node_kind
+            tadj = {
+                src: tuple(
+                    edge for edge in rrg.adjacency[src]
+                    if kinds[edge[0]] == WIRE or edge[0] in live
+                )
+                for pin in live
+                for src in pin_src[pin]
+            }
+            self._tadj[target] = tadj
+        return tadj
 
     def _seed(self, request: RouteRequest) -> set:
         """Start set (source + the net's trunk) of one search."""

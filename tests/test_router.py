@@ -1,5 +1,11 @@
 """Tests for the PathFinder router and TRoute workloads."""
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.arch.architecture import FpgaArchitecture, Site
@@ -222,6 +228,45 @@ class TestValidation:
         route.edges.pop(0)
         with pytest.raises(AssertionError):
             validate_routing(result)
+
+    def test_rejects_illegal_routing_under_python_O(self):
+        """``python -O`` strips ``assert`` statements; the checks must
+        still reject a one-edge OPIN->SINK route the RRG lacks."""
+        script = textwrap.dedent(
+            """
+            from repro.arch.architecture import FpgaArchitecture
+            from repro.arch.rrg import build_rrg
+            from repro.route.router import (
+                ConnectionRoute, RouteRequest, RoutingResult,
+                validate_routing,
+            )
+
+            g = build_rrg(FpgaArchitecture(nx=2, ny=2, channel_width=2))
+            src, dst = g.clb_opin[(1, 1)], g.clb_sink[(2, 2)]
+            request = RouteRequest(0, "n", src, dst, frozenset((0,)))
+            route = ConnectionRoute(request, [(src, dst, -1)])
+            print("debug", __debug__)
+            try:
+                validate_routing(RoutingResult(g, {0: route}, 1, 1))
+            except AssertionError as exc:
+                print("rejected", exc)
+            else:
+                print("accepted")
+            """
+        )
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "debug False",
+            "rejected edge missing from RRG",
+        ]
 
     def test_full_circuit_routing_validates(self, fabric):
         from repro.route.router import validate_routing

@@ -29,6 +29,7 @@ from repro.route.router import (
     ScalarPathFinderRouter,
     scalar_router_forced,
 )
+from repro.route.searchkernel import RouterStats
 from repro.route.troute import (
     lut_circuit_connections,
     requests_from_connections,
@@ -135,12 +136,37 @@ class TestLutEquivalence:
             )
             _assert_identical(scalar, vector)
 
+    def test_pruned_search_pops_less(self):
+        """Single-mode routing keeps its A* weight of 1.0, so only the
+        dead-end pins and dead seeds the vectorized kernels skip
+        separate its pop count from the scalar reference's."""
+        _n, modes, _arch, rrg, placements, _s = _pair_fixture("fsm")
+        requests = requests_from_connections(
+            rrg, lut_circuit_connections(modes[0], placements[0])
+        )
+        scalar, vector = RouterStats(), RouterStats()
+        _assert_identical(
+            ScalarPathFinderRouter(rrg, stats=scalar).route(requests),
+            VectorizedPathFinderRouter(rrg, stats=vector).route(
+                requests
+            ),
+        )
+        assert vector.searches == scalar.searches > 0
+        assert vector.pops < scalar.pops
+
 
 class TestTunableEquivalence:
     """Multi-mode TRoute with net/bit affinities and sharing sweeps —
     the pricing paths the scalar reference exercises per edge."""
 
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize(
+        "family",
+        [
+            pytest.param(f, marks=pytest.mark.smoke) if f == "klut"
+            else f
+            for f in FAMILIES
+        ],
+    )
     def test_troute(self, family):
         name, modes, arch, rrg, _p, schedule = _pair_fixture(family)
         tunable, _ = merge_with_combined_placement(
@@ -163,6 +189,43 @@ class TestTunableEquivalence:
             rrg, conns, len(modes), **kwargs
         )
         _assert_identical(scalar, vector)
+
+    def test_pruned_search_pops_less(self):
+        """Same searches and routes as the scalar reference, strictly
+        fewer heap pops: the vectorized kernels skip dead-end pins and
+        dead seeds and, for connections active in every mode, search
+        with the exact A* weight.  The weight alone (floor restored on
+        an otherwise identical router) moves no route either."""
+        name, modes, arch, rrg, _p, schedule = _pair_fixture("xbar")
+        tunable, _ = merge_with_combined_placement(
+            name, modes, arch,
+            strategy=MergeStrategy.WIRE_LENGTH, seed=0,
+            schedule=schedule,
+        )
+        requests = requests_from_connections(
+            rrg, tunable.site_connections()
+        )
+        assert any(len(r.modes) == len(modes) for r in requests)
+        kwargs = dict(
+            n_modes=len(modes), net_affinity=0.5, bit_affinity=0.3,
+            sharing_passes=2,
+        )
+        scalar, vector, floor = (RouterStats() for _ in range(3))
+        expected = ScalarPathFinderRouter(
+            rrg, stats=scalar, **kwargs
+        ).route(requests)
+        _assert_identical(expected, VectorizedPathFinderRouter(
+            rrg, stats=vector, **kwargs
+        ).route(requests))
+        assert vector.searches == scalar.searches > 0
+        assert vector.pops < scalar.pops
+        floor_router = VectorizedPathFinderRouter(
+            rrg, stats=floor, **kwargs
+        )
+        assert floor_router._shared_fac > floor_router.astar_fac
+        floor_router._shared_fac = floor_router.astar_fac
+        _assert_identical(expected, floor_router.route(requests))
+        assert vector.pops < floor.pops
 
     def test_mixed_activation_sets(self):
         """Connections with {0}, {1} and {0, 1} activation sets of

@@ -12,6 +12,7 @@ from repro.route.router import (
     RouteRequest,
     validate_routing,
 )
+from repro.route.vectorized import VectorizedPathFinderRouter
 
 ARCH = FpgaArchitecture(nx=5, ny=5, channel_width=5, fc_in=0.5,
                         fc_out=0.5)
@@ -100,3 +101,47 @@ class TestRouterProperties:
             for node in range(RRG.n_nodes):
                 want = len(expected.get((mode, node), ()))
                 assert router._occ[mode][node] == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_shared_connection_weight_is_consistent(self, seed):
+        """Under random history, occupancy, net references and on
+        bits, a connection active in every mode prices every edge
+        ``u -> v`` at least ``w * (M(u, t) - M(v, t))`` for the
+        vectorized core's shared weight ``w`` (M = Manhattan distance
+        to the target): the bound is consistent, so raising the weight
+        from the affinity floor cannot move a route."""
+        rng = random.Random(seed)
+        n_modes = rng.randint(2, 3)
+        router = VectorizedPathFinderRouter(
+            RRG, n_modes=n_modes, net_affinity=0.5, bit_affinity=0.3
+        )
+        n = RRG.n_nodes
+        router._hist[:] = [rng.uniform(0.0, 3.0) for _ in range(n)]
+        for occ in router._occ:
+            occ[:] = [rng.randint(0, 2) for _ in range(n)]
+        net = "net_1_1"
+        for mode in range(n_modes):
+            router._net_mode_refs[(net, mode)] = dict.fromkeys(
+                rng.sample(range(n), 60), 1
+            )
+            router._bit_refs[mode] = dict.fromkeys(
+                rng.sample(range(RRG.n_bits), 60), 1
+            )
+        target = RRG.clb_sink[(rng.randint(1, 5), rng.randint(1, 5))]
+        request = RouteRequest(
+            0, net, RRG.clb_opin[(1, 1)], target,
+            frozenset(range(n_modes)),
+        )
+        pn, _pnA, _static, use_bit = router._price_vectors(
+            request, rng.uniform(0.0, 4.0)
+        )
+        assert not use_bit  # no bit discount for a shared connection
+        w = router._shared_fac
+        assert w == 0.5 > router.astar_fac
+        xs, ys = RRG.node_x, RRG.node_y
+        tx, ty = xs[target], ys[target]
+        man = [abs(x - tx) + abs(y - ty) for x, y in zip(xs, ys)]
+        for u, edges in enumerate(RRG.adjacency):
+            for v, _bit in edges:
+                assert w * (man[u] - man[v]) <= pn[v]

@@ -1,9 +1,22 @@
 """Tests for the routing-resource graph."""
 
+import pickle
+
 import pytest
 
 from repro.arch.architecture import FpgaArchitecture, Site
-from repro.arch.rrg import IPIN, OPIN, WIRE, build_rrg
+from repro.arch.rrg import IPIN, OPIN, SINK, WIRE, build_rrg
+
+#: (nx, ny, channel_width, io_rat) grids the search-view tests sweep.
+SPAN_ARCHS = [
+    (2, 2, 2, 1),
+    (2, 9, 5, 2),
+    (3, 5, 3, 2),
+    (4, 4, 8, 1),
+    (6, 3, 4, 2),
+    (9, 2, 7, 1),
+    (9, 9, 6, 2),
+]
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +127,65 @@ class TestScaling:
         arch4 = FpgaArchitecture(nx=2, ny=2, channel_width=4)
         arch8 = FpgaArchitecture(nx=2, ny=2, channel_width=8)
         assert build_rrg(arch8).n_bits > build_rrg(arch4).n_bits
+
+
+class TestSearchViews:
+    """The graph facts the router's pruned heap search relies on."""
+
+    @pytest.mark.parametrize("nx,ny,width,io_rat", SPAN_ARCHS)
+    def test_edge_spans(self, nx, ny, width, io_rat):
+        """Every edge spans at most 2 Manhattan units, only wire-wire
+        turns span 2, and IPIN->SINK spans 0 — the precondition of
+        the shared-connection A* weight 1/span.  Longer segments must
+        fail here rather than silently move routes."""
+        g = build_rrg(FpgaArchitecture(
+            nx=nx, ny=ny, channel_width=width, io_rat=io_rat,
+            fc_in=0.5, fc_out=0.5,
+        ))
+        kinds, xs, ys = g.node_kind, g.node_x, g.node_y
+        for src, edges in enumerate(g.adjacency):
+            for dst, _bit in edges:
+                span = abs(xs[src] - xs[dst]) + abs(ys[src] - ys[dst])
+                assert span <= 2
+                if span == 2:
+                    assert kinds[src] == kinds[dst] == WIRE
+                if kinds[src] == IPIN:
+                    assert kinds[dst] == SINK and span == 0
+        assert g.max_edge_span() == 2
+
+    @pytest.mark.parametrize("nx,ny,width,io_rat", SPAN_ARCHS[:3])
+    def test_pins_are_dead_ends(self, nx, ny, width, io_rat):
+        """The wire-only tuples hold every wire-bound edge, the pin
+        sources every other edge's source, and a pin leads only to a
+        SINK: an IPIN of another block never reaches a search's
+        target."""
+        g = build_rrg(FpgaArchitecture(
+            nx=nx, ny=ny, channel_width=width, io_rat=io_rat,
+        ))
+        kinds = g.node_kind
+        wire_out, pin_src = g.wire_neighbors(), g.pin_sources()
+        expected_src = {}
+        for src, edges in enumerate(g.adjacency):
+            assert wire_out[src] == tuple(
+                (dst, bit) for dst, bit in edges if kinds[dst] == WIRE
+            )
+            for dst, _bit in edges:
+                if kinds[dst] != WIRE:
+                    assert kinds[dst] in (IPIN, SINK)
+                    expected_src.setdefault(dst, []).append(src)
+            if kinds[src] in (IPIN, SINK):
+                assert all(kinds[dst] == SINK for dst, _ in edges)
+        for node in range(g.n_nodes):
+            assert pin_src[node] == tuple(expected_src.get(node, ()))
+
+    def test_views_stay_out_of_pickles(self, small):
+        _arch, g = small
+        g.wire_neighbors()
+        g.pin_sources()
+        g.max_edge_span()
+        clone = pickle.loads(pickle.dumps(g))
+        assert clone._wire_out is None
+        assert clone._pin_src is None
+        assert clone._max_span is None
+        assert clone.wire_neighbors() == g.wire_neighbors()
+        assert clone.pin_sources() == g.pin_sources()
