@@ -1,12 +1,12 @@
 """Shared-state checker (RPR201, RPR202).
 
-The batched router fans net negotiation across a thread pool and the
-job graph's ``ThreadJobExecutor`` runs arbitrary stage work on pool
-threads, so any write to state visible across threads -- instance
-attributes, module globals, closure cells -- from a function reachable
-from a thread entry point must either hold a lock or carry a pragma
-documenting why the race is benign (single-word dict ops under the
-GIL, for example).
+The job graph's ``ThreadJobExecutor`` (``repro serve``'s thread
+mode) runs arbitrary stage work on pool threads, and the HTTP service
+completes jobs from pool callbacks, so any write to state visible
+across threads -- instance attributes, module globals, closure cells
+-- from a function reachable from a thread entry point must either
+hold a lock or carry a pragma documenting why the race is benign
+(single-word dict ops under the GIL, for example).
 
 Entry points recognised syntactically:
 

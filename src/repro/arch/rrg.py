@@ -209,7 +209,7 @@ class RoutingResourceGraph:
 
         Every hop of a path closes the Manhattan distance to its
         target by at most this much, which is what bounds a consistent
-        A* weight (see ``VectorizedPathFinderRouter``).  In the
+        A* weight (see ``PathFinderRouter._search``).  In the
         unit-segment fabric it is 2: the switch-box turns between
         ``chanx(x+1, y)`` and ``chany(x, y+1)``.
         """

@@ -77,7 +77,9 @@ from repro.netlist.lutcircuit import LutCircuit
 #: partial-rip-up flags.
 #: v6: the options block drops the batched-placer flag (the batched
 #: annealer is gone).
-RECORD_SCHEMA_VERSION = 6
+#: v7: the options block drops the batched-router, router-lookahead
+#: and partial-rip-up flags (one router core remains).
+RECORD_SCHEMA_VERSION = 7
 
 #: Version of the summary / baseline envelope.
 SUMMARY_SCHEMA_VERSION = 1
@@ -105,19 +107,8 @@ class CampaignVariant:
     #: Channel-sizing policy: ``"estimate"`` (netlist statistics) or
     #: ``"search"`` (the paper's minimum-width binary search plus 20%
     #: slack — several trial routings per run, practical as a sweep
-    #: axis since the vectorized router).
+    #: axis at the router's speed).
     sizing: str = "estimate"
-    #: Route with the batched-wavefront PathFinder core (QoR-gated
-    #: against its own trend series, not bit-identical to the
-    #: default core).
-    batched_router: bool = False
-    #: Route with the precomputed lookahead heuristic (QoR-gated
-    #: against its own trend series: tighter lower bounds change
-    #: tie-breaks against the Manhattan default).
-    router_lookahead: bool = False
-    #: Keep congestion-free routes between negotiation iterations
-    #: and reroute only the congested remainder.
-    partial_ripup: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,9 +139,6 @@ class CampaignSpec:
             timing_driven=variant.timing_driven,
             criticality_exponent=variant.criticality_exponent,
             timing_tradeoff=variant.timing_tradeoff,
-            batched_router=variant.batched_router,
-            router_lookahead=variant.router_lookahead,
-            partial_ripup=variant.partial_ripup,
         )
 
 
@@ -173,55 +161,6 @@ PRESETS: Dict[str, CampaignSpec] = {
         pairs_per_suite=2,
         inner_num=0.1,
         variants=(_WIRELENGTH, _TIMING),
-    ),
-    # The batched-core twin of ci-smoke: same pairs, routed with the
-    # batched-wavefront PathFinder.  The cores are QoR-equivalent, not
-    # bit-identical, so nightly tracks this as its own trend series
-    # instead of diffing it against the default core's baseline.
-    "ci-smoke-batched": CampaignSpec(
-        name="ci-smoke-batched",
-        description=(
-            "ci-smoke pairs through the batched router (its own "
-            "nightly trend series)"
-        ),
-        suites=("datapath", "fsm", "xbar", "klut"),
-        scale="tiny",
-        pairs_per_suite=2,
-        inner_num=0.1,
-        variants=(
-            CampaignVariant("wirelength-batched", batched_router=True),
-            CampaignVariant(
-                "timing-batched", timing_driven=True,
-                batched_router=True,
-            ),
-        ),
-    ),
-    # The lookahead twin of ci-smoke: same pairs routed with the
-    # precomputed lookahead heuristic plus partial rip-up.  The
-    # tighter heuristic changes tie-breaks against the Manhattan
-    # default, so nightly tracks this as its own trend series (the
-    # scalar and vectorized cores stay bit-identical to each other
-    # under it — asserted by tests/test_lookahead.py).
-    "ci-smoke-lookahead": CampaignSpec(
-        name="ci-smoke-lookahead",
-        description=(
-            "ci-smoke pairs with the router lookahead and partial "
-            "rip-up enabled (their own nightly trend series)"
-        ),
-        suites=("datapath", "fsm", "xbar", "klut"),
-        scale="tiny",
-        pairs_per_suite=2,
-        inner_num=0.1,
-        variants=(
-            CampaignVariant(
-                "wirelength-lookahead",
-                router_lookahead=True, partial_ripup=True,
-            ),
-            CampaignVariant(
-                "timing-lookahead", timing_driven=True,
-                router_lookahead=True, partial_ripup=True,
-            ),
-        ),
     ),
     # The paper's evaluation as one named campaign (see also
     # ``repro experiments``, which prints the tables instead).
@@ -281,7 +220,7 @@ PRESETS: Dict[str, CampaignSpec] = {
             ),
         ),
     ),
-    # The sizing sweep the vectorized router makes practical: the
+    # The sizing sweep the router's speed makes practical: the
     # same tiny pairs implemented with the estimator and with the
     # paper's exact minimum-width search (several full trial routings
     # per run), so the JSONL database carries the width methodology
@@ -410,9 +349,6 @@ def _extract_payload(
                 options.criticality_exponent
             ),
             "timing_tradeoff": _round(options.timing_tradeoff),
-            "batched_router": options.batched_router,
-            "router_lookahead": options.router_lookahead,
-            "partial_ripup": options.partial_ripup,
         },
         "mdr": {
             "total_bits": mdr.cost.total,

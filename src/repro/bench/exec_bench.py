@@ -15,33 +15,9 @@ high-pass *i*), each an independent synth→place→route run;
   ``timing_driven=True``, recording the timing-driven trajectory:
   wall-clock plus the mean routed MDR critical delay against the
   wirelength-driven baseline's.
-* ``router_vectorized`` — an A/B of the PathFinder negotiation cores
-  on the routing phase alone: one pair per generator family at
-  router-bench scale is placed and merged once, then its MDR routes
-  (untimed and timing-driven) and its TRoute run are timed under the
-  scalar reference (``REPRO_SCALAR_ROUTER=1``) and under the
-  vectorized default, interleaved best-of-N.  The bench asserts both
-  cores return bit-identical edge lists before reporting the
-  speedup.
-* ``router_batched`` — the same routing workload under the
-  batched-wavefront core (``batched=True``: bucket-queue searches +
-  parallel-net negotiation), timed in the same interleaved rounds.
-  The batched core is QoR-gated, not bit-identical to the others, so
-  this phase asserts determinism (rounds bit-identical to each
-  other), reports the wire-length ratio against the vectorized
-  result, and dumps the search-kernel counters (pops, bucket drains,
-  frontier sizes, conflict replays).
-* ``router_vectorized.lookahead`` — the same workload with the
-  precomputed lookahead heuristic (:mod:`repro.route.lookahead`),
-  alone and paired with partial rip-up, under both the scalar and
-  vectorized cores.  The bench asserts scalar+lookahead ==
-  vectorized+lookahead bit-identity and reports heap-pop counts per
-  leg, so the search-space shrinkage is tracked alongside the
-  wall-clocks.
-
 Results are bit-for-bit identical across all paths (the bench
-asserts this on the reconfiguration-cost totals and the routed edge
-lists), so the speedups are pure execution-subsystem wins.  The JSON
+asserts this on the reconfiguration-cost totals), so the speedups
+are pure execution-subsystem wins.  The JSON
 report records wall-clocks, per-stage breakdowns, and the headline
 ratios so future PRs can track the perf trajectory.
 """
@@ -59,7 +35,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.fir import generate_fir_circuit
-from repro.core.flow import FlowOptions, implement_multi_mode
+from repro.core.flow import FlowOptions
 from repro.exec.cache import StageCache
 from repro.exec.progress import ProgressLog
 from repro.exec.scheduler import Scheduler, Task
@@ -73,10 +49,9 @@ from repro.core.flow import unpack_result
 #: v5: per-core heap-pop counters on every router leg, plus the
 #: ``lookahead`` sub-phase (precomputed-lookahead heuristic and
 #: partial rip-up, scalar/vectorized bit-identity asserted).
-SCHEMA_VERSION = 5
-
-#: Generator families of the router A/B workload.
-ROUTER_BENCH_FAMILIES = ("datapath", "fsm", "xbar", "klut")
+#: v6: drops the ``router_vectorized`` and ``router_batched`` phases
+#: (one router core remains; nothing left to A/B).
+SCHEMA_VERSION = 6
 
 
 def workload_kinds() -> List[str]:
@@ -215,289 +190,6 @@ def _measure_baseline_src(
     return {"src": src_path, "seconds": data["seconds"]}
 
 
-def _router_bench_workload(scale: str, seed: int) -> List[Tuple]:
-    """One placed-and-merged pair per generator family at *scale*.
-
-    Everything that is not routing (synthesis, placement, merging)
-    happens here, outside the timed section, so the A/B below times
-    the PathFinder negotiation alone — the phase the vectorized core
-    rewrites.
-    """
-    from repro.arch.architecture import size_for_circuits
-    from repro.arch.rrg import build_rrg
-    from repro.core.combined_placement import (
-        merge_with_combined_placement,
-    )
-    from repro.core.merge import MergeStrategy
-    from repro.gen.spec import build_circuit
-    from repro.gen.suites import suite_pair_specs
-    from repro.place.placer import place_circuit
-
-    options = FlowOptions(seed=seed, inner_num=0.1)
-    schedule = options.schedule()
-    # The medium datapath pair saturates the 8-track channels the
-    # smaller scales route comfortably in (the exact cores need 10,
-    # the bucket-quantized batched core 12); widen rather than
-    # shrink the workload so the A/B keeps its larger search space.
-    channel_width = 12 if scale == "medium" else 8
-    workload = []
-    for family in ROUTER_BENCH_FAMILIES:
-        pair_name, specs = suite_pair_specs(
-            family, seed=seed, k=4, scale=scale, limit=1
-        )[0]
-        modes = [build_circuit(spec) for spec in specs]
-        ios = set()
-        for circuit in modes:
-            ios.update(circuit.inputs)
-            ios.update(circuit.outputs)
-        arch = size_for_circuits(
-            max(c.n_luts() for c in modes), len(ios), k=4,
-            channel_width=channel_width, slack=1.2,
-        )
-        rrg = build_rrg(arch)
-        placements = [
-            place_circuit(
-                c, arch, seed=seed + i, schedule=schedule
-            )
-            for i, c in enumerate(modes)
-        ]
-        tunable, _ = merge_with_combined_placement(
-            pair_name, modes, arch,
-            strategy=MergeStrategy.WIRE_LENGTH, seed=seed,
-            schedule=schedule,
-        )
-        workload.append(
-            (pair_name, modes, placements, rrg,
-             tunable.site_connections())
-        )
-    return workload
-
-
-def run_router_bench(
-    scale: str = "quick",
-    seed: int = 0,
-    rounds: int = 2,
-) -> Dict[str, object]:
-    """A/B/C the scalar, vectorized and batched PathFinder cores.
-
-    Routes each pair's modes conventionally (untimed and
-    timing-driven) plus its merged tunable circuit (TRoute with the
-    flow's affinity/sharing defaults), once per core per round,
-    interleaved; reports best-of-*rounds* wall-clocks.  Raises
-    ``AssertionError`` if the scalar and vectorized cores' routes are
-    not bit-identical, or if the batched core (QoR-equivalent by
-    design, not bit-identical) is not bit-identical to *itself*
-    across rounds.  The batched leg also collects the
-    :class:`~repro.route.searchkernel.RouterStats` counters (bucket
-    drains, frontier sizes, conflict replays) of its best round.
-
-    Four additional legs run the lookahead heuristic: scalar and
-    vectorized with lookahead alone, and both again with partial
-    rip-up added.  Each lookahead pair must be bit-identical across
-    cores (the heuristic changes results *versus Manhattan*, never
-    between the exact cores), and every leg reports its heap-pop
-    count so the ``pops`` block quantifies the search-space
-    shrinkage directly.
-    """
-    from repro.route.lookahead import build_lookahead
-    from repro.route.searchkernel import RouterStats
-    from repro.route.troute import (
-        route_lut_circuit,
-        route_tunable_circuit,
-    )
-
-    workload = _router_bench_workload(scale, seed)
-    timing = FlowOptions(
-        seed=seed, inner_num=0.1, timing_driven=True
-    ).criticality()
-    defaults = FlowOptions()
-
-    # The lookahead tables are a per-architecture precomputation the
-    # flow memoizes in the stage cache; build them outside the timed
-    # sections (with the delay model: the timed legs need the delay
-    # tables) but report the one-shot build cost alongside.
-    build_start = time.perf_counter()
-    lk_tables = [
-        build_lookahead(rrg, timing.model)
-        for _n, _m, _p, rrg, _c in workload
-    ]
-    lk_build_seconds = time.perf_counter() - build_start
-
-    def run(
-        scalar: bool = False,
-        batched: bool = False,
-        lookahead: bool = False,
-        partial: bool = False,
-    ):
-        old = os.environ.pop("REPRO_SCALAR_ROUTER", None)
-        if scalar:
-            os.environ["REPRO_SCALAR_ROUTER"] = "1"
-        stats = RouterStats()
-        kwargs: Dict[str, object] = {"stats": stats}
-        if batched:
-            kwargs["batched"] = True
-        if partial:
-            kwargs["partial_ripup"] = True
-        try:
-            start = time.perf_counter()
-            signature = []
-            wirelength = 0
-            for index, (
-                _name, modes, placements, rrg, conns
-            ) in enumerate(workload):
-                if lookahead:
-                    kwargs["lookahead"] = lk_tables[index]
-                for circuit, placement in zip(modes, placements):
-                    result = route_lut_circuit(
-                        circuit, placement, rrg, **kwargs
-                    )
-                    signature.append(sorted(
-                        (cid, tuple(r.edges))
-                        for cid, r in result.routes.items()
-                    ))
-                    wirelength += result.total_wirelength(0)
-                for circuit, placement in zip(modes, placements):
-                    result = route_lut_circuit(
-                        circuit, placement, rrg, timing=timing,
-                        **kwargs
-                    )
-                    signature.append(sorted(
-                        (cid, tuple(r.edges))
-                        for cid, r in result.routes.items()
-                    ))
-                    wirelength += result.total_wirelength(0)
-                result = route_tunable_circuit(
-                    rrg, conns, len(modes),
-                    net_affinity=defaults.net_affinity,
-                    bit_affinity=defaults.bit_affinity,
-                    sharing_passes=defaults.sharing_passes,
-                    **kwargs,
-                )
-                signature.append(sorted(
-                    (cid, tuple(r.edges))
-                    for cid, r in result.routes.items()
-                ))
-                wirelength += sum(
-                    result.total_wirelength(m)
-                    for m in range(len(modes))
-                )
-            seconds = time.perf_counter() - start
-            return seconds, signature, wirelength, stats
-        finally:
-            os.environ.pop("REPRO_SCALAR_ROUTER", None)
-            if old is not None:
-                os.environ["REPRO_SCALAR_ROUTER"] = old
-
-    #: leg label -> run() kwargs; bit-identity groups asserted below.
-    legs = {
-        "scalar": dict(scalar=True),
-        "vectorized": dict(),
-        "batched": dict(batched=True),
-        "lk_scalar": dict(scalar=True, lookahead=True),
-        "lk_vectorized": dict(lookahead=True),
-        "lkpr_scalar": dict(scalar=True, lookahead=True, partial=True),
-        "lkpr_vectorized": dict(lookahead=True, partial=True),
-    }
-    best = {name: float("inf") for name in legs}
-    sigs: Dict[str, object] = {}
-    wls: Dict[str, int] = {}
-    pops: Dict[str, int] = {}
-    batched_stats = None
-    for _round in range(max(1, rounds)):
-        for name, leg_kwargs in legs.items():
-            seconds, sig, wl, stats = run(**leg_kwargs)
-            if name == "batched" and name in sigs and sig != sigs[name]:
-                raise AssertionError(
-                    "batched router is nondeterministic: rounds must "
-                    "be bit-identical"
-                )
-            sigs[name] = sig
-            wls[name] = wl
-            pops[name] = stats.pops
-            if seconds < best[name]:
-                best[name] = seconds
-                if name == "batched":
-                    batched_stats = stats
-    if sigs["scalar"] != sigs["vectorized"]:
-        raise AssertionError(
-            "scalar and vectorized routers disagree: the cores must "
-            "be bit-identical"
-        )
-    if sigs["lk_scalar"] != sigs["lk_vectorized"]:
-        raise AssertionError(
-            "scalar and vectorized routers disagree under the "
-            "lookahead heuristic: the cores must be bit-identical"
-        )
-    if sigs["lkpr_scalar"] != sigs["lkpr_vectorized"]:
-        raise AssertionError(
-            "scalar and vectorized routers disagree under lookahead "
-            "+ partial rip-up: the cores must be bit-identical"
-        )
-    n_connections = sum(
-        len(conns) for _n, _m, _p, _r, conns in workload
-    )
-    scalar_best, vector_best = best["scalar"], best["vectorized"]
-    batched_best = best["batched"]
-    vector_wl, batched_wl = wls["vectorized"], wls["batched"]
-    return {
-        "workload": {
-            "suites": list(ROUTER_BENCH_FAMILIES),
-            "scale": scale,
-            "n_pairs": len(workload),
-            "n_tunable_connections": n_connections,
-            "seed": seed,
-        },
-        "rounds": max(1, rounds),
-        "scalar_seconds": round(scalar_best, 3),
-        "vectorized_seconds": round(vector_best, 3),
-        "speedup": round(scalar_best / vector_best, 3),
-        "results_identical": True,
-        # Heap pops per leg (deterministic; the batched legs count
-        # bucket settles instead of binary-heap pops).
-        "pops": dict(sorted(pops.items())),
-        "batched": {
-            "seconds": round(batched_best, 3),
-            "speedup_vs_scalar": round(
-                scalar_best / batched_best, 3
-            ),
-            "speedup_vs_vectorized": round(
-                vector_best / batched_best, 3
-            ),
-            "deterministic_across_rounds": True,
-            "total_wirelength": batched_wl,
-            "wirelength_ratio_vs_vectorized": round(
-                batched_wl / vector_wl, 4
-            ) if vector_wl else None,
-            "stats": batched_stats.as_dict(),
-        },
-        "lookahead": {
-            "table_build_seconds": round(lk_build_seconds, 3),
-            "scalar_seconds": round(best["lk_scalar"], 3),
-            "vectorized_seconds": round(best["lk_vectorized"], 3),
-            "speedup_vs_manhattan_vectorized": round(
-                vector_best / best["lk_vectorized"], 3
-            ),
-            "results_identical": True,
-            "total_wirelength": wls["lk_vectorized"],
-            "wirelength_ratio_vs_manhattan": round(
-                wls["lk_vectorized"] / vector_wl, 4
-            ) if vector_wl else None,
-            "pop_reduction_vs_manhattan": round(
-                pops["vectorized"] / pops["lk_vectorized"], 3
-            ) if pops["lk_vectorized"] else None,
-            "partial_ripup": {
-                "seconds": round(best["lkpr_vectorized"], 3),
-                "results_identical": True,
-                "total_wirelength": wls["lkpr_vectorized"],
-                "wirelength_ratio_vs_manhattan": round(
-                    wls["lkpr_vectorized"] / vector_wl, 4
-                ) if vector_wl else None,
-                "pops": pops["lkpr_vectorized"],
-            },
-        },
-    }
-
-
 def run_exec_bench(
     workers: int = 4,
     n_pairs: int = 4,
@@ -509,7 +201,6 @@ def run_exec_bench(
     n_taps: int = 4,
     baseline_src: Optional[str] = None,
     workload: str = "fir_pairs",
-    router_scale: str = "quick",
 ) -> Dict[str, object]:
     """Run the measurements; returns the report dict.
 
@@ -517,8 +208,6 @@ def run_exec_bench(
     historical shape) or any registered suite of :mod:`repro.gen`
     (materialised at tiny scale).  *pairs* overrides either (tests
     inject tiny circuits so the bench path is exercised in seconds).
-    *router_scale* sizes the ``router_vectorized`` A/B workload
-    (tests drop it to ``"tiny"``).
     """
     options = FlowOptions(seed=seed, inner_num=inner_num)
     injected = pairs is not None
@@ -592,22 +281,6 @@ def run_exec_bench(
     baseline_delay = _mean_critical_delay(res_cold)
     timed_delay = _mean_critical_delay(res_timed)
 
-    log("router A/B/C (scalar vs vectorized vs batched vs "
-        f"lookahead, {router_scale} scale) ...")
-    router_phase = run_router_bench(scale=router_scale, seed=seed)
-    batched_phase = router_phase.pop("batched")
-    lookahead_phase = router_phase["lookahead"]
-    log(
-        f"  scalar {router_phase['scalar_seconds']:.1f}s, "
-        f"vectorized {router_phase['vectorized_seconds']:.1f}s "
-        f"({router_phase['speedup']:.2f}x), "
-        f"batched {batched_phase['seconds']:.1f}s "
-        f"({batched_phase['speedup_vs_scalar']:.2f}x vs scalar), "
-        f"lookahead {lookahead_phase['vectorized_seconds']:.1f}s "
-        f"({lookahead_phase['pop_reduction_vs_manhattan']:.2f}x "
-        "fewer pops)"
-    )
-
     baseline = None
     if baseline_src and workload != "fir_pairs":
         log(
@@ -664,8 +337,6 @@ def run_exec_bench(
                 timed_delay / baseline_delay, 4
             ) if baseline_delay > 0 else None,
         },
-        "router_vectorized": router_phase,
-        "router_batched": batched_phase,
         "speedup_cold_vs_serial": round(t_serial / t_cold, 3),
         "warm_fraction_of_cold": round(t_warm / t_cold, 4),
         "results_identical": True,

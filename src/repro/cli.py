@@ -59,9 +59,7 @@ results are bit-identical to serial) and ``--cache-dir``/``--no-cache``
 ``--timing-driven``/``--criticality-exponent``/``--timing-tradeoff``
 (criticality-weighted placement and routing with per-mode Fmax and
 MDR:DCS frequency ratios in the report; see
-``repro.timing.criticality``).  Historical spellings
-(``--n-workers``, ``--jobs``, ``--cachedir``, ``--timing``) still
-parse but print a deprecation warning.
+``repro.timing.criticality``).
 
 Invoke as ``python -m repro <subcommand> ...``.
 """
@@ -81,32 +79,12 @@ from repro.synth.optimize import optimize_network
 from repro.synth.techmap import tech_map
 
 
-class _DeprecatedAlias(argparse.Action):
-    """Old option spelling: warn on use, store into the canonical dest."""
-
-    def __init__(self, option_strings, dest, canonical="", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self.canonical = canonical
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        print(
-            f"warning: {option_string} is deprecated; "
-            f"use {self.canonical}",
-            file=sys.stderr,
-        )
-        setattr(
-            namespace, self.dest, True if self.nargs == 0 else values
-        )
-
-
 def _exec_parent() -> argparse.ArgumentParser:
     """Shared ``--workers/--cache-dir/--no-cache`` group.
 
     A parent parser (``add_help=False``) so every flow-running
     subcommand — including ``serve`` — spells the execution knobs
-    identically; historical divergent spellings survive as deprecated
-    aliases that warn.
+    identically.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -115,17 +93,9 @@ def _exec_parent() -> argparse.ArgumentParser:
              "(default: REPRO_WORKERS or serial)",
     )
     parent.add_argument(
-        "--n-workers", "--jobs", dest="workers", type=int,
-        action=_DeprecatedAlias, canonical="--workers",
-    )
-    parent.add_argument(
         "--cache-dir", default=None,
         help="stage-cache directory (default: REPRO_CACHE_DIR or "
              "~/.cache/repro/stages)",
-    )
-    parent.add_argument(
-        "--cachedir", dest="cache_dir",
-        action=_DeprecatedAlias, canonical="--cache-dir",
     )
     parent.add_argument(
         "--no-cache", action="store_true",
@@ -155,10 +125,6 @@ def _timing_parent() -> argparse.ArgumentParser:
         "--timing-driven", action="store_true",
         help="optimise criticality-weighted delay in placement and "
              "routing (default: wire length / congestion only)",
-    )
-    parent.add_argument(
-        "--timing", dest="timing_driven", nargs=0,
-        action=_DeprecatedAlias, canonical="--timing-driven",
     )
     parent.add_argument(
         "--criticality-exponent", type=float, default=1.0,
@@ -573,7 +539,6 @@ def _cmd_bench_exec(args: argparse.Namespace) -> int:
         n_taps=args.taps,
         baseline_src=args.baseline_src,
         workload=args.workload,
-        router_scale=args.router_scale,
     )
     write_bench_json(report, args.output)
     print(f"wrote {args.output}")
@@ -584,24 +549,6 @@ def _cmd_bench_exec(args: argparse.Namespace) -> int:
         f"serial {serial:.1f}s, cold x{report['workers']} workers "
         f"{cold:.1f}s ({serial / cold:.2f}x), warm {warm:.1f}s "
         f"({100 * warm / cold:.1f}% of cold)"
-    )
-    router = report["router_vectorized"]
-    print(
-        f"router ({router['workload']['scale']} scale): scalar "
-        f"{router['scalar_seconds']:.1f}s, vectorized "
-        f"{router['vectorized_seconds']:.1f}s "
-        f"({router['speedup']:.2f}x, bit-identical)"
-    )
-    batched = report["router_batched"]
-    stats = batched["stats"]
-    print(
-        f"router batched: {batched['seconds']:.1f}s "
-        f"({batched['speedup_vs_scalar']:.2f}x vs scalar, "
-        f"{batched['speedup_vs_vectorized']:.2f}x vs vectorized), "
-        f"wl ratio {batched['wirelength_ratio_vs_vectorized']:.3f}, "
-        f"{stats['drains']} drains "
-        f"(mean frontier {stats['mean_frontier']:.1f}), "
-        f"{stats['conflict_replays']} conflict replays"
     )
     return 0
 
@@ -1154,12 +1101,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--effort", type=float, default=0.1,
                          help="annealing inner_num of the workload")
-    p_bench.add_argument(
-        "--router-scale", default="quick",
-        choices=("tiny", "quick", "default", "medium"),
-        help="workload scale of the router_vectorized A/B phase "
-             "(scalar vs vectorized PathFinder core)",
-    )
     p_bench.set_defaults(func=_cmd_bench_exec)
 
     p_cache = sub.add_parser(

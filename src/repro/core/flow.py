@@ -18,7 +18,7 @@ retries with a wider channel when routing fails — mirroring the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.architecture import FpgaArchitecture, size_for_circuits
@@ -108,32 +108,6 @@ class FlowOptions:
     #: term (1.0); the router ignores it (criticality itself blends
     #: delay against congestion there).
     timing_tradeoff: float = 0.5
-    #: Route with the batched-wavefront PathFinder core
-    #: (:mod:`repro.route.batched`): bucket-queue searches that price
-    #: whole cost-quantized frontiers per numpy call, plus
-    #: parallel-net negotiation with deterministic conflict replay.
-    #: Results are QoR-equivalent to the scalar/vectorized cores and
-    #: independent of the worker count, but not bit-identical to
-    #: them.
-    batched_router: bool = False
-    #: Route with the precomputed lookahead heuristic
-    #: (:mod:`repro.route.lookahead`): a one-shot backward-Dijkstra
-    #: sweep over the architecture's (Δx, Δy, node-kind) quotient
-    #: graph yields admissible per-target lower bounds that are
-    #: tighter than ``astar_fac * manhattan``, shrinking every
-    #: search's explored frontier.  Tables are memoized per
-    #: architecture in the stage cache (``"lookahead"`` stage).
-    #: QoR-gated opt-in: the tighter heuristic changes tie-breaks
-    #: against the Manhattan default, so results differ from the
-    #: historical flow (the scalar and vectorized cores remain
-    #: bit-identical to *each other* with it enabled).
-    router_lookahead: bool = False
-    #: Partial rip-up: between negotiation iterations, keep every
-    #: route that avoids congested nodes (and whose per-mode trunk
-    #: anchoring survives) and reroute only the congested remainder.
-    #: QoR-gated opt-in paired with ``router_lookahead``; a no-op for
-    #: the batched core, which always rips whole nets.
-    partial_ripup: bool = False
 
     # Wire typing of every knob (to_dict/from_dict boundary).  The
     # round-trip test asserts these partition the dataclass fields and
@@ -147,10 +121,7 @@ class FlowOptions:
         "slack", "fc_in", "fc_out", "inner_num", "net_affinity",
         "bit_affinity", "criticality_exponent", "timing_tradeoff",
     })
-    _BOOL_KNOBS = frozenset({
-        "tplace_refine", "timing_driven", "batched_router",
-        "router_lookahead", "partial_ripup",
-    })
+    _BOOL_KNOBS = frozenset({"tplace_refine", "timing_driven"})
     _OPTIONAL_INT_KNOBS = frozenset({"channel_width"})
     _CHOICE_KNOBS = {"sizing": ("estimate", "search")}
 
@@ -334,8 +305,6 @@ def route_lut_stage_inputs(
     """Key inputs of the ``route_lut`` stage (one mode's routing)."""
     return (
         circuit, placement, arch, options.router_max_iterations,
-        options.batched_router, options.router_lookahead,
-        options.partial_ripup,
     ) + _timing_key(options)
 
 
@@ -352,31 +321,7 @@ def dcs_stage_inputs(
         options.seed, options.schedule(), options.tplace_refine,
         options.net_affinity, options.bit_affinity,
         options.sharing_passes, options.router_max_iterations,
-        options.batched_router, options.router_lookahead,
-        options.partial_ripup,
     ) + _timing_key(options)
-
-
-def lookahead_stage_inputs(
-    arch: FpgaArchitecture,
-    options: "FlowOptions",
-) -> Tuple:
-    """Key inputs of the ``lookahead`` stage (per-arch cost tables).
-
-    The tables depend only on the architecture (the RRG is
-    deterministic from it) and on the delay model — present exactly
-    when the flow is timing-driven.  Every other knob leaves them
-    untouched, so one build serves all nets, modes, seeds and
-    campaign variants on the same fabric.
-    """
-    # The tables depend only on the delay model projected out of the
-    # criticality config; exponent/tradeoff never reach the key or
-    # the build, so 'lookahead' is deliberately absent from their
-    # OPTION_STAGE_COVERAGE sets.
-    # repro: allow[RPR101] only .model reaches the lookahead key
-    timing = options.criticality()
-    model = timing.model if timing is not None else None
-    return (arch, model)
 
 
 def multimode_stage_inputs(
@@ -415,23 +360,13 @@ OPTION_STAGE_COVERAGE: Dict[str, frozenset] = {
     "sharing_passes": frozenset({"dcs", "multimode", "campaign"}),
     "sizing": frozenset({"multimode", "campaign"}),
     "timing_driven": frozenset(
-        {"place", "route_lut", "dcs", "lookahead", "multimode",
-         "campaign"}
+        {"place", "route_lut", "dcs", "multimode", "campaign"}
     ),
     "criticality_exponent": frozenset(
         {"place", "route_lut", "dcs", "multimode", "campaign"}
     ),
     "timing_tradeoff": frozenset(
         {"place", "route_lut", "dcs", "multimode", "campaign"}
-    ),
-    "batched_router": frozenset(
-        {"route_lut", "dcs", "multimode", "campaign"}
-    ),
-    "router_lookahead": frozenset(
-        {"route_lut", "dcs", "multimode", "campaign"}
-    ),
-    "partial_ripup": frozenset(
-        {"route_lut", "dcs", "multimode", "campaign"}
     ),
 }
 
@@ -695,34 +630,6 @@ def _stage_cache(cache_root: Optional[str],
     return StageCache(cache_root, enabled=cache_enabled)
 
 
-def _lookahead_tables(
-    cache: StageCache,
-    rrg: RoutingResourceGraph,
-    arch: FpgaArchitecture,
-    options: FlowOptions,
-):
-    """The flow's lookahead tables, memoized per architecture.
-
-    Returns ``None`` unless ``options.router_lookahead`` — callers
-    thread the result straight into the routers' ``lookahead=``
-    kwarg.  The build is a one-shot sweep over the (Δx, Δy, kind)
-    quotient graph, so after the first flow on a given fabric every
-    later run (any seed, net, or campaign variant) is a cache hit.
-    """
-    if not options.router_lookahead:
-        return None
-    from repro.route.lookahead import build_lookahead
-
-    timing = options.criticality()
-    model = timing.model if timing is not None else None
-    tables, _hit = cache.memoize(
-        "lookahead",
-        lookahead_stage_inputs(arch, options),
-        lambda: build_lookahead(rrg, model),
-    )
-    return tables
-
-
 def _mdr_mode_stage(
     label: str,
     mode: int,
@@ -771,11 +678,6 @@ def _mdr_mode_stage(
                 graph,
                 timing=timing,
                 max_iterations=options.router_max_iterations,
-                batched=options.batched_router,
-                lookahead=_lookahead_tables(
-                    cache, graph, arch, options
-                ),
-                partial_ripup=options.partial_ripup,
             )
         )
 
@@ -812,8 +714,7 @@ def _dcs_stage(
     def compute() -> DcsResult:
         graph = rrg if rrg is not None else build_rrg(arch)
         result = _run_dcs(
-            name, mode_circuits, arch, strategy, options, graph,
-            lookahead=_lookahead_tables(cache, graph, arch, options),
+            name, mode_circuits, arch, strategy, options, graph
         )
         return replace(result, routing=pack_routing(result.routing))
 
@@ -834,7 +735,6 @@ def _run_dcs(
     strategy: MergeStrategy,
     options: FlowOptions,
     rrg: RoutingResourceGraph,
-    lookahead=None,
 ) -> DcsResult:
     """The DCS flow proper: merge, (T)place, TRoute, bit accounting.
 
@@ -898,9 +798,6 @@ def _run_dcs(
         max_iterations=options.router_max_iterations,
         criticality=criticality,
         delay_model=timing.model if timing is not None else None,
-        batched=options.batched_router,
-        lookahead=lookahead,
-        partial_ripup=options.partial_ripup,
     )
     per_mode_bits = [
         routing.bits_on(m) for m in range(n_modes)
@@ -1201,7 +1098,9 @@ def implement_multi_mode(
         if pair_key is not None:
             cache.put("multimode", pair_key, pack_result(result))
         return result
+    # ``width`` already holds the next width to try; ``arch`` is the
+    # last one routed.
     raise RoutingError(
-        f"{name}: unroutable even at channel width {width}: "
-        f"{last_error}"
+        f"{name}: unroutable even at channel width "
+        f"{arch.channel_width}: {last_error}"
     )

@@ -67,9 +67,7 @@ def resolve_workers(workers: Optional[int]) -> int:
     return max(1, int(workers))
 
 
-def effective_workers(
-    workers: int, n_tasks: int, use_threads: bool = False
-) -> int:
+def effective_workers(workers: int, n_tasks: int) -> int:
     """Pool size a batch of *n_tasks* would actually run with.
 
     Never more processes than there is work or hardware:
@@ -77,13 +75,7 @@ def effective_workers(
     (results are order-locked, so this cannot change them).  ``1``
     means the batch executes inline; callers use this to decide
     whether to ship shared objects or let workers rebuild them.
-    Thread pools are not capped by the core count: they exist for
-    unpicklable or latency-hiding work, and the
-    worker-count-independence tests must be able to exercise a real
-    multi-thread pool on single-core CI boxes.
     """
-    if use_threads:
-        return max(1, min(workers, n_tasks))
     return max(1, min(workers, n_tasks, os.cpu_count() or 1))
 
 
@@ -270,15 +262,11 @@ class ProcessJobExecutor(ThreadJobExecutor):
         old.shutdown(wait=False)
 
 
-def executor_for(
-    workers: int, n_tasks: int, use_threads: bool = False
-) -> JobExecutor:
+def executor_for(workers: int, n_tasks: int) -> JobExecutor:
     """The executor a one-shot batch of *n_tasks* should run on."""
-    n = effective_workers(workers, n_tasks, use_threads)
+    n = effective_workers(workers, n_tasks)
     if n <= 1:
         return InlineExecutor()
-    if use_threads:
-        return ThreadJobExecutor(n)
     return ProcessJobExecutor(n)
 
 
@@ -549,7 +537,6 @@ class JobGraph:
 def run_tasks(
     tasks: Sequence[Task],
     workers: Optional[int] = None,
-    use_threads: bool = False,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
     """One-shot batch execution with the classic scheduler semantics.
@@ -561,9 +548,7 @@ def run_tasks(
     """
     if not tasks:
         return []
-    graph = JobGraph(
-        executor_for(resolve_workers(workers), len(tasks), use_threads)
-    )
+    graph = JobGraph(executor_for(resolve_workers(workers), len(tasks)))
     try:
         jobs = [graph.submit_task(task) for task in tasks]
         return graph.wait(jobs, on_result=on_result)

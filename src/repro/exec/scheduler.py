@@ -43,32 +43,18 @@ from repro.exec.jobs import (  # noqa: F401
 
 
 class Scheduler:
-    """Runs task batches serially, over a process pool, or — with
-    ``use_threads=True`` — over a thread pool.
+    """Runs task batches serially or over a process pool."""
 
-    The thread mode exists for tasks that are *not* picklable
-    (closures, bound methods over live router state: the batched
-    router's parallel-net negotiation) but release the GIL or are
-    cheap enough to interleave.  It keeps the exact submission-order
-    result and first-failure semantics of the process mode, so the
-    two are drop-in interchangeable for deterministic tasks.
-    """
-
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        use_threads: bool = False,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        self.use_threads = bool(use_threads)
 
     def effective_workers(self, n_tasks: int) -> int:
         """Pool size a batch of *n_tasks* would actually run with.
 
         See :func:`repro.exec.jobs.effective_workers`: capped by work
-        and (for processes) hardware; ``1`` means inline execution.
+        and hardware; ``1`` means inline execution.
         """
-        return effective_workers(self.workers, n_tasks, self.use_threads)
+        return effective_workers(self.workers, n_tasks)
 
     def run(
         self,
@@ -82,12 +68,7 @@ class Scheduler:
         incremental-checkpoint hook (see
         :meth:`repro.exec.jobs.JobGraph.wait`).
         """
-        return run_tasks(
-            tasks,
-            workers=self.workers,
-            use_threads=self.use_threads,
-            on_result=on_result,
-        )
+        return run_tasks(tasks, workers=self.workers, on_result=on_result)
 
     def map(
         self, fn: Callable[..., Any], args_list: Sequence[Tuple]

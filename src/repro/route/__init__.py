@@ -5,10 +5,10 @@
   shared by different modes (their configuration bits become Boolean
   functions of the mode) while conflicts within one mode are negotiated
   away.  Routing a single-mode workload reduces it to the conventional
-  VPR router used by the MDR baseline.
-* :mod:`repro.route.vectorized` — the numpy-vectorized negotiation
-  core (the default; ``REPRO_SCALAR_ROUTER=1`` restores the scalar
-  reference, which stays bit-identical by construction).
+  VPR router used by the MDR baseline.  One core routes everything
+  (numpy-priced heap searches); ``ScalarPathFinderRouter`` is the
+  pure-Python reference the tests hold it to, decision for decision.
+* :mod:`repro.route.searchkernel` — the search loops of both.
 * :mod:`repro.route.troute` — TRoute: builds the tunable-connection
   workload of a merged multi-mode circuit, routes it, and extracts the
   per-mode configurations and parameterised-bit counts.
@@ -19,7 +19,6 @@ from repro.route.router import (
     RouteRequest,
     RoutingResult,
     ScalarPathFinderRouter,
-    scalar_router_forced,
 )
 from repro.route.troute import route_lut_circuit, route_tunable_circuit
 
@@ -28,7 +27,6 @@ __all__ = [
     "RouteRequest",
     "RoutingResult",
     "ScalarPathFinderRouter",
-    "scalar_router_forced",
     "route_lut_circuit",
     "route_tunable_circuit",
 ]

@@ -29,13 +29,33 @@ connection router of Vansteenkiste et al. that TRoute builds on):
   reroute every net with these discounts active, keeping the legal
   solution with the fewest parameterised bits.
 
-The search is multi-source A* with the heuristic ``astar_fac *
-M(n, target)``, ``M`` the integer Manhattan distance.  The weight is
-capped at the affinity floor ``net_affinity * bit_affinity``, the
-cheapest a hop can be, but that does not make the bound consistent:
-the switch-box turn ``chanx(x+1, y) -> chany(x, y+1)`` closes 2
-Manhattan units in one hop, so Manhattan is consistent only up to
-weight floor/2.  What actually holds:
+**Pricing.**  A node entered by a connection costs
+
+``price = (base + history) * (1 + pres_fac * overuse) [* affinities]``
+
+plus a deterministic per-(net, node) jitter of at most 0.01, and a
+timing-driven connection of criticality ``crit`` pays
+``crit * delay + (1 - crit) * price`` per edge instead.  During one
+connection search the congestion state is frozen — occupancy,
+history, the net's own reference counts and the bit-sharing reference
+counts only change *between* searches — so a node's price is a pure
+function of the node for the whole search.  :class:`PathFinderRouter`
+therefore prices the **entire graph at once** as numpy array math over
+per-node vectors, and the heap kernels of
+:mod:`repro.route.searchkernel` read one precomputed Python list per
+scanned edge (``tolist()`` keeps scalar access cheap): no per-mode
+loops, no dict membership probes, no noise hashing in the inner loop.
+The bit-sharing discount's occupancy gate is folded into the
+discounted price vector itself (``where(overused, plain,
+discounted)``), so even that path costs one set probe per edge.
+
+**The A* bound.**  The search is multi-source A* with the heuristic
+``astar_fac * M(n, target)``, ``M`` the integer Manhattan distance.
+The weight is capped at the affinity floor ``net_affinity *
+bit_affinity``, the cheapest a hop can be, but that does not make the
+bound consistent: the switch-box turn ``chanx(x+1, y) -> chany(x,
+y+1)`` closes 2 Manhattan units in one hop, so Manhattan is consistent
+only up to weight floor/2.  What actually holds:
 
 * TRoute's untimed weight (0.15 at the flow defaults) is consistent
   for connections active in every mode (no discount applies, floor 1)
@@ -50,42 +70,88 @@ weight floor/2.  What actually holds:
 
 The kernels never reopen a settled node, so an inconsistent bound can
 settle a node before its cheapest path is known.  That behaviour is
-deterministic and part of what the cores agree on bit for bit.
-``lookahead=`` swaps in the precomputed fabric lower bounds of
-:mod:`repro.route.lookahead` (tighter; that module argues its bound),
-and ``partial_ripup=True`` keeps a dirty net's congestion-free
-subtrees across rip-up; both are opt-in because they change
-equal-cost tie-breaks relative to the defaults.
+deterministic and part of what the scalar reference reproduces bit for
+bit.
 
-Two interchangeable negotiation cores implement the search:
+**Scalar reference.**  :class:`ScalarPathFinderRouter` replaces the
+two search methods with the pure-Python kernels, which price one node
+at a time.  Every float expression of the production core keeps the
+reference's exact operation order and grouping (float addition is not
+associative; a one-ULP difference flips equal-cost tie-breaks), so
+both make byte-identical decisions: identical routes, wirelength,
+iteration counts and cached-result pickles
+(``tests/test_router_equivalence.py``).  The production core takes
+three structural liberties, none of which can change a decision (only
+the ``RouterStats`` counters differ):
 
-* the **scalar reference** in this module — pure Python, priced one
-  node at a time (the implementation every result is defined
-  against);
-* the **vectorized core** (:mod:`repro.route.vectorized`) — numpy
-  array math over whole-graph price vectors, bit-identical by
-  construction and roughly twice as fast on real workloads.
+* **Dead-end pins.**  A pin leads only to its own block's SINK, so an
+  IPIN of any block but the target's, and any SINK but the target,
+  can never reach the target.  The heap kernels search the wire-only
+  neighbour tuples plus a per-target overlay holding the target
+  block's pin edges, placed after each node's wire edges — the
+  relaxations out of one node reach distinct nodes, and the heap pops
+  entries in value order regardless of push order.  The dropped heap
+  entries never relaxed anything, so every other entry still pops in
+  the same order.
+* **Live seeds.**  Trunk seeds with no edge in that graph (other
+  connections' SINKs and IPINs) are not pushed, for the same reason.
+* **Shared-connection weight.**  Untimed searches of connections
+  active in every mode use ``max(astar_fac, 1/max_edge_span)``
+  instead of the affinity floor; see :meth:`PathFinderRouter._search`.
 
-``PathFinderRouter(...)`` constructs the vectorized core by default;
-``REPRO_SCALAR_ROUTER=1`` in the environment (or numpy being
-unavailable) swaps the scalar reference back in everywhere.  Tests
-that need a specific core regardless of the environment instantiate
-:class:`ScalarPathFinderRouter` or
-:class:`~repro.route.vectorized.VectorizedPathFinderRouter` directly.
+The production core's routes are also pinned by committed golden
+digests (``tests/test_routing_golden.py``).
+
+**Price-vector reuse.**  Connections of one net route consecutively,
+and adding or removing a route of the *same net* whose activation set
+is a subset of a priced connection's cannot change that connection's
+prices: for every mode the route and the pricing context share,
+occupancy and the net's own reference counts move together, so
+``occ_after = occ + (0 if already else 1)`` is invariant; modes
+outside the route's set are untouched, and a subset activation set
+cannot reach the pricing context's *other*-mode affinity state.  The
+router therefore keeps one price entry per activation set of the
+current net (TRoute requests mix ``{0}``, ``{1}`` and ``{0, 1}``
+connections of one net), drops an entry only when an update escapes
+its subset guarantee, and clears the lot when the net or the
+present-cost factor moves on or when the negotiation loop raises
+history costs (``pres_fac`` alone would not cover that, since
+``pres_fac_mult`` may be 1.0) — one vector build prices a whole net's
+fan-out.
 """
 
 from __future__ import annotations
 
+import gc
+import zlib
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.arch.rrg import OPIN, SINK, WIRE, RoutingResourceGraph
+import numpy as np
+
+from repro.arch.rrg import WIRE, RoutingResourceGraph
 from repro.route.searchkernel import (
+    EMPTY_STATIC,
     RouterStats,
+    heap_search_timed,
+    heap_search_untimed,
     scalar_search,
     scalar_search_timed,
 )
-from repro.utils.env import env_flag
+
+#: Knuth's multiplicative-hash constant of the per-(net, node)
+#: tie-break jitter — the scalar reference hashes with the same one.
+_NOISE_MUL = 0x9E3779B9
+
+#: Heuristic-vector cache bound: evict least-recently-used entries
+#: once the cached lists hold more than this many floats (~16 MB).
+#: Untimed routing keys by target only and never comes close; timed
+#: routing keys by (target, astar_fac) and would otherwise grow one
+#: entry per connection.
+_H_CACHE_MAX_FLOATS = 2_000_000
+
+#: "Not seen this search" sentinel of the heap kernels' ``dist``.
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -280,38 +346,14 @@ def validate_routing(result: "RoutingResult") -> None:
                 )
 
 
-def scalar_router_forced() -> bool:
-    """True when ``REPRO_SCALAR_ROUTER`` selects the scalar core."""
-    return env_flag("REPRO_SCALAR_ROUTER")
-
-
 class PathFinderRouter:
     """Negotiated-congestion router over a routing-resource graph.
 
-    Constructing this class picks the negotiation core: the
-    numpy-vectorized one by default, the scalar reference in this
-    module under ``REPRO_SCALAR_ROUTER=1`` (or when numpy is
-    missing).  Both produce bit-identical results; subclasses are
-    never re-dispatched.
+    Occupancy and history live in numpy arrays: the bookkeeping
+    (``occ[node] += 1``) works on them element by element, and the
+    per-search price build reads them whole.  ``stats`` collects
+    :class:`RouterStats` counters of every search.
     """
-
-    def __new__(cls, *args, **kwargs):
-        if cls is PathFinderRouter and not scalar_router_forced():
-            try:
-                from repro.route.vectorized import (
-                    VectorizedPathFinderRouter,
-                )
-            except ImportError:
-                # numpy unavailable: the scalar reference is the
-                # fallback, not a failure.
-                return super().__new__(cls)
-            if kwargs.get("batched"):
-                from repro.route.batched import (
-                    BatchedPathFinderRouter,
-                )
-                return super().__new__(BatchedPathFinderRouter)
-            return super().__new__(VectorizedPathFinderRouter)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -326,42 +368,9 @@ class PathFinderRouter:
         bit_affinity: float = 1.0,
         sharing_passes: int = 0,
         timing: Optional[RoutingTiming] = None,
-        batched: bool = False,
-        route_workers: int = 1,
         stats: Optional[RouterStats] = None,
-        lookahead=None,
-        partial_ripup: bool = False,
     ) -> None:
-        # The batched-wavefront knobs are accepted (and recorded) by
-        # every core so call sites can thread them unconditionally:
-        # ``batched=True`` selects the batched core at dispatch time
-        # (unless ``REPRO_SCALAR_ROUTER`` forces the reference, the
-        # escape hatch trumping everything); the scalar/vectorized
-        # cores ignore them otherwise.  ``stats`` collects
-        # :class:`RouterStats` counters where the core supports them.
-        self.batched = bool(batched)
-        self.route_workers = max(1, int(route_workers))
         self.stats = stats
-        # ``lookahead`` swaps the Manhattan heuristic for precomputed
-        # fabric lower bounds (:mod:`repro.route.lookahead`); accepts
-        # the raw tables (as stored in the stage cache) or a prebuilt
-        # wrapper.  ``partial_ripup`` keeps a dirty net's
-        # congestion-free, still-anchored subtrees across rip-up (see
-        # :meth:`_partial_keep`).  Both change tie-breaks versus the
-        # defaults, so like the batched core they are opt-in and
-        # QoR-gated rather than bit-compared against the baseline —
-        # but with either enabled the scalar and vectorized cores
-        # remain bit-identical to each other.
-        self.lookahead = None
-        if lookahead is not None:
-            from repro.route.lookahead import (
-                LookaheadTables,
-                RouterLookahead,
-            )
-            if isinstance(lookahead, LookaheadTables):
-                lookahead = RouterLookahead(rrg, lookahead)
-            self.lookahead = lookahead
-        self.partial_ripup = bool(partial_ripup)
         self.rrg = rrg
         self.n_modes = n_modes
         self.max_iterations = max_iterations
@@ -390,11 +399,16 @@ class PathFinderRouter:
         # floor is their product (see the module docstring for what
         # this weight does and does not guarantee).
         self.astar_fac = min(astar_fac, net_affinity * bit_affinity)
+        # A* weight of connections active in every mode: see _search.
+        self._shared_fac = max(
+            self.astar_fac, 1.0 / max(rrg.max_edge_span(), 1)
+        )
 
         n = rrg.n_nodes
+        self._n_nodes = n
         # occupancy[mode][node] = number of distinct nets on the node.
-        self._occ = [[0] * n for _ in range(n_modes)]
-        self._hist = [0.0] * n
+        self._occ = [np.zeros(n, dtype=np.int64) for _ in range(n_modes)]
+        self._hist = np.zeros(n, dtype=np.float64)
         # (net, mode) -> node -> reference count.
         self._net_mode_refs: Dict[Tuple[str, int], Dict[int, int]] = {}
         # per mode: bit -> number of routes turning the bit on.
@@ -405,18 +419,12 @@ class PathFinderRouter:
         # the occupancy-mutation points so congestion checks never
         # rescan the whole graph.
         self._overused: Set[Tuple[int, int]] = set()
-        # Flat graph views (precomputed once per RRG) and reusable
-        # search scratch: dist/parent/visited are epoch-stamped arrays,
-        # so starting a new search is O(1) instead of allocating fresh
-        # dicts for every one of the thousands of connection routes.
-        self._base = rrg.base_cost_array()
+        # Search-tree parents, rewritten by every search.
         self._parent_node = [-1] * n
         self._parent_bit = [-1] * n
-        self._epoch = 0
-        self._init_scratch(n)
         # Timing-driven context: per-node intrinsic delays are
         # precomputed once so the timed relaxation loop reads a flat
-        # array, exactly like the congestion arrays above.
+        # list, like the price lists.
         self.timing = timing
         self._node_delay: Optional[List[float]] = None
         if timing is not None:
@@ -424,39 +432,42 @@ class PathFinderRouter:
             self._node_delay = [
                 model.node_delay(rrg, node) for node in range(n)
             ]
-
-    def _init_scratch(self, n: int) -> None:
-        """Graph views and search scratch of the scalar relaxation
-        loops.
-
-        The RRG's CSR neighbour arrays, epoch-stamped distance/visited
-        arrays and the per-search node-pricing cache: within one
-        connection search a node's cost is bit-independent except for
-        the bit-affinity multiplier, so the expensive part (occupancy,
-        history, net affinity, noise) is computed once per node per
-        search instead of once per incoming edge.  The vectorized core
-        overrides this with its own (array-priced) scratch.
-        """
-        self._row_ptr, self._edge_dst, self._edge_bit = (
-            self.rrg.neighbor_arrays()
+            # Same per-edge `delay + switch_delay` add as the scalar
+            # loop, hoisted into one list read.
+            switch_delay = model.switch_delay
+            self._node_delay_switch = [
+                d + switch_delay for d in self._node_delay
+            ]
+        # Immutable per-graph vectors of the price build.
+        self._np_base = np.asarray(
+            rrg.base_cost_array(), dtype=np.float64
         )
-        self._dist = [0.0] * n
-        self._dist_epoch = [0] * n
-        self._visited_epoch = [0] * n
-        self._price = [0.0] * n
-        self._price_over0 = [False] * n
-        self._price_noise = [0.0] * n
-        self._price_epoch = [0] * n
-
-    def _history_updated(self) -> None:
-        """Hook: the negotiation loop just raised history costs.
-
-        The scalar loops read ``self._hist`` directly, so nothing to
-        do here; the vectorized core uses it to drop price vectors
-        built against the old history (it must not rely on
-        ``pres_fac`` changing alongside — ``pres_fac_mult`` may
-        legitimately be 1.0).
-        """
+        self._np_cap = np.asarray(rrg.node_capacity, dtype=np.int64)
+        self._np_x = np.asarray(rrg.node_x, dtype=np.int64)
+        self._np_y = np.asarray(rrg.node_y, dtype=np.int64)
+        self._wire_mask = (
+            np.asarray(rrg.node_kind, dtype=np.int64) == WIRE
+        )
+        # Per-node part of the tie-break jitter; XORing the net salt
+        # in is the only per-search step.
+        self._noise_mul = np.arange(n, dtype=np.int64) * _NOISE_MUL
+        # The heap kernels' search graph: wire-bound edges for every
+        # node, plus per target the edges toward its own pins (see
+        # _target_adjacency and the module docstring).
+        self._nbr = rrg.wire_neighbors()
+        self._tadj: Dict[int, Dict[int, Tuple[Tuple[int, int], ...]]] = {}
+        # Per-net noise vector (nets route consecutively, so a
+        # one-entry cache hits for every connection after the first).
+        self._noise_salt: Optional[int] = None
+        self._noise01: Optional[np.ndarray] = None
+        # Price entries of the current (net, pres_fac), one per
+        # activation set; see the module docstring for the
+        # reuse-safety argument behind _invalidate_prices.
+        self._price_net: Optional[str] = None
+        self._price_pres: Optional[float] = None
+        self._price_entries: Dict[FrozenSet[int], Tuple] = {}
+        # Heuristic vectors keyed by (target, astar_fac).
+        self._h_cache: Dict[Tuple[int, float], List[float]] = {}
 
     # -- occupancy bookkeeping ---------------------------------------------
 
@@ -479,6 +490,7 @@ class PathFinderRouter:
             bit_refs = self._bit_refs[mode]
             for bit in bits:
                 bit_refs[bit] = bit_refs.get(bit, 0) + 1
+        self._invalidate_prices(route)
 
     def _remove_route(self, route: ConnectionRoute) -> None:
         net = route.request.net
@@ -501,10 +513,18 @@ class PathFinderRouter:
                 bit_refs[bit] -= 1
                 if bit_refs[bit] == 0:
                     del bit_refs[bit]
+        self._invalidate_prices(route)
 
-    def _net_uses(self, net: str, mode: int, node: int) -> bool:
-        refs = self._net_mode_refs.get((net, mode))
-        return bool(refs) and node in refs
+    def _invalidate_prices(self, route: ConnectionRoute) -> None:
+        entries = self._price_entries
+        if not entries:
+            return
+        if route.request.net != self._price_net:
+            entries.clear()
+            return
+        modes = route.request.modes
+        for key in [k for k in entries if not modes <= k]:
+            del entries[key]
 
     def _bit_becomes_static(
         self, bit: int, modes: FrozenSet[int]
@@ -518,50 +538,6 @@ class PathFinderRouter:
             if not self._bit_refs[mode].get(bit):
                 return False
         return True
-
-    # -- cost model --------------------------------------------------------
-
-    def _node_cost(
-        self, node: int, request: RouteRequest, pres_fac: float,
-        net_salt: int, bit: int = -1,
-    ) -> float:
-        rrg = self.rrg
-        cap = rrg.node_capacity[node]
-        kind = rrg.node_kind[node]
-        base = 0.0 if kind == SINK else 1.0
-        overuse = 0
-        for mode in request.modes:
-            already = self._net_uses(request.net, mode, node)
-            occ_after = self._occ[mode][node] + (0 if already else 1)
-            if occ_after > cap:
-                overuse += occ_after - cap
-        cost = (base + self._hist[node]) * (1.0 + pres_fac * overuse)
-        if self.net_affinity < 1.0 and kind == WIRE and overuse == 0:
-            # Cross-mode affinity: prefer wires the net already drives
-            # in some other mode (their bits become static).
-            for mode in range(self.n_modes):
-                if mode not in request.modes and self._net_uses(
-                    request.net, mode, node
-                ):
-                    cost *= self.net_affinity
-                    break
-        if (
-            self.bit_affinity < 1.0
-            and bit >= 0
-            and overuse == 0
-            and len(request.modes) < self.n_modes
-            and self._bit_becomes_static(bit, request.modes)
-        ):
-            # Bit-sharing affinity: a switch already on in all the
-            # other modes costs nothing extra to reconfigure.
-            cost *= self.bit_affinity
-        # Deterministic per-(net, node) jitter breaks the symmetric
-        # ties that otherwise let two equal-cost nets swap the same
-        # pair of resources forever (a PathFinder livelock).  The
-        # jitter is non-negative, so no cost drops below the floor
-        # the A* weight assumes.
-        noise = ((net_salt ^ (node * 0x9E3779B9)) & 0xFFFF) / 0xFFFF
-        return cost + 0.01 * noise
 
     def _trunk_nodes(self, request: RouteRequest) -> List[int]:
         """Nodes the net already occupies in *every* mode of the
@@ -582,49 +558,313 @@ class PathFinderRouter:
         # repro: allow[RPR003] consumer is order-insensitive (set union)
         return list(trunk)
 
+    # -- array-level pricing -------------------------------------------------
+
+    def _heuristic(
+        self, target: int, astar_fac: float
+    ) -> List[float]:
+        """``astar_fac * manhattan(node, target)`` for every node —
+        exactly the scalar per-push expression, as one list per
+        target, cached (LRU)."""
+        cache = self._h_cache
+        key = (target, astar_fac)
+        h = cache.get(key)
+        if h is None:
+            # Evict least-recently-used entries (dict order = use
+            # order: hits below re-insert) instead of clearing the
+            # lot — timed routing keys one entry per connection and
+            # would thrash the whole cache at the bound.
+            n = self._n_nodes
+            while cache and (len(cache) + 1) * n > _H_CACHE_MAX_FLOATS:
+                del cache[next(iter(cache))]
+            h = (
+                astar_fac
+                * (
+                    np.abs(self._np_x - self.rrg.node_x[target])
+                    + np.abs(self._np_y - self.rrg.node_y[target])
+                )
+            ).tolist()
+            cache[key] = h
+        else:
+            del cache[key]
+            cache[key] = h
+        return h
+
+    def _price_arrays(
+        self, request: RouteRequest, pres_fac: float
+    ):
+        """Whole-graph numpy price state of one connection search.
+
+        Returns ``(pn_np, pnA_np, static_set)`` where
+        ``pn = cost + 0.01 * noise`` (the additive edge term of the
+        untimed loop), ``pnA`` its bit-affinity-discounted twin
+        *already gated on zero overuse* (``pnA == pn`` wherever the
+        node is overused, exactly like the scalar guard; None when no
+        discount can apply), and ``static_set`` the switch bits
+        currently on in every mode outside the activation set.  Every
+        expression mirrors the scalar reference's grouping.
+        """
+        net = request.net
+        modes = request.modes
+        salt = zlib.crc32(net.encode())
+        if self._noise_salt != salt:
+            # Same ints, same single division, same 0.01 scale as the
+            # scalar `0.01 * (((salt ^ node*MUL) & 0xFFFF) / 0xFFFF)`.
+            self._noise01 = 0.01 * (
+                ((self._noise_mul ^ salt) & 0xFFFF) / 0xFFFF
+            )
+            self._noise_salt = salt
+        noise01 = self._noise01
+
+        cap = self._np_cap
+        overuse: Optional[np.ndarray] = None
+        for mode in modes:
+            # occ_after = occ + (0 if net already there else 1);
+            # overuse accumulates max(occ_after - cap, 0) per mode.
+            occ_after = self._occ[mode] + 1
+            refs = self._net_mode_refs.get((net, mode))
+            if refs:
+                occ_after[
+                    np.fromiter(refs.keys(), np.int64, len(refs))
+                ] -= 1
+            occ_after -= cap
+            np.maximum(occ_after, 0, out=occ_after)
+            overuse = (
+                occ_after if overuse is None else overuse + occ_after
+            )
+        cost = (self._np_base + self._hist) * (
+            1.0 + pres_fac * overuse
+        )
+        if self.net_affinity < 1.0:
+            other: set = set()
+            for mode in range(self.n_modes):
+                if mode not in modes:
+                    refs = self._net_mode_refs.get((net, mode))
+                    if refs:
+                        other.update(refs.keys())
+            if other:
+                idx = np.fromiter(other, np.int64, len(other))
+                sel = idx[
+                    self._wire_mask[idx] & (overuse[idx] == 0)
+                ]
+                cost[sel] *= self.net_affinity
+
+        pn_np = cost + noise01
+        pnA_np = None
+        static_set: set = set()
+        if self.bit_affinity < 1.0 and len(modes) < self.n_modes:
+            static = None
+            for mode in range(self.n_modes):
+                if mode in modes:
+                    continue
+                bits = self._bit_refs[mode].keys()
+                static = (
+                    set(bits) if static is None
+                    else static & set(bits)
+                )
+                if not static:
+                    break
+            static_set = static or set()
+            # No discountable bit means no edge can diverge from the
+            # plain price — skip the discounted twin entirely.
+            if static_set:
+                pnA_np = np.where(
+                    overuse == 0,
+                    cost * self.bit_affinity + noise01,
+                    pn_np,
+                )
+        return pn_np, pnA_np, static_set
+
+    def _price_vectors(
+        self, request: RouteRequest, pres_fac: float
+    ) -> Tuple:
+        """Cached price state ``(pn, pnA, static_set)`` as Python
+        lists, one entry per activation set of the current (net,
+        pres_fac).  Without a live bit discount the entry holds
+        ``pnA=pn`` and an empty static set, which evaluates the exact
+        float expressions of the historical no-bit loops."""
+        net = request.net
+        modes = request.modes
+        if (
+            net != self._price_net
+            or pres_fac != self._price_pres
+        ):
+            self._price_entries.clear()
+            self._price_net = net
+            self._price_pres = pres_fac
+        entry = self._price_entries.get(modes)
+        if entry is None:
+            pn_np, pnA_np, static_set = self._price_arrays(
+                request, pres_fac
+            )
+            pn = pn_np.tolist()
+            if pnA_np is None:
+                entry = (pn, pn, EMPTY_STATIC)
+            else:
+                entry = (pn, pnA_np.tolist(), static_set)
+            self._price_entries[modes] = entry
+        return entry
+
     # -- search --------------------------------------------------------------
+    #
+    # The relaxation loops live in repro.route.searchkernel.  ``dist``
+    # is a fresh per-search list using value sentinels: +inf means
+    # "not seen this search" (any first relaxation improves) and
+    # -inf, written when a node is popped, means "settled" (no
+    # relaxation can improve — a node's first pop always carries its
+    # best tentative distance, because entries of one node share its
+    # heuristic and thus sort by distance).
 
     def _route_connection(
         self, request: RouteRequest, pres_fac: float
     ) -> ConnectionRoute:
-        """Route one connection with the scalar reference kernel.
+        """Route one connection: timing dispatch and the error path.
 
-        The relaxation loops themselves live in
-        :mod:`repro.route.searchkernel` (shared with the vectorized
-        and batched cores); this method owns the timing dispatch and
-        the error path.  Timing-driven connections (a criticality
-        above 0 in ``self.timing``) route through the timed twin
-        :meth:`_route_connection_timed`; keeping the two kernels
-        separate leaves the untimed one byte-identical to the
-        reference, so wirelength-driven results cannot drift.
+        Timing-driven connections (a criticality above 0 in
+        ``self.timing``) take the timed search; keeping the two
+        kernels separate leaves the untimed one byte-identical to the
+        wirelength-driven reference, so those results cannot drift.
         """
-        timing = self.timing
-        if timing is not None:
-            crit = timing.criticality.get(request.conn_id, 0.0)
-            if crit > 0.0:
-                return self._route_connection_timed(
-                    request, pres_fac, crit
-                )
-        edges = scalar_search(self, request, pres_fac)
+        crit = 0.0
+        if self.timing is not None:
+            crit = self.timing.criticality.get(request.conn_id, 0.0)
+        if crit > 0.0:
+            edges = self._search_timed(request, pres_fac, crit)
+        else:
+            edges = self._search(request, pres_fac)
         if edges is None:
+            rrg = self.rrg
             raise RoutingError(
-                f"no path from {self.rrg.describe(request.source)} "
-                f"to {self.rrg.describe(request.sink)}"
+                f"no path from {rrg.describe(request.source)} to "
+                f"{rrg.describe(request.sink)}"
             )
         return ConnectionRoute(request, edges)
 
-    def _route_connection_timed(
+    def _search(
+        self, request: RouteRequest, pres_fac: float
+    ) -> Optional[List[Tuple[int, int, int]]]:
+        """Untimed multi-source A*; the edge list of the found path,
+        or None when the sink is unreachable."""
+        pn, pnA, static_set = self._price_vectors(request, pres_fac)
+        # A connection active in every mode can take neither affinity
+        # discount, so each hop into a non-sink node costs at least 1
+        # and closes the Manhattan distance by at most the graph's
+        # edge span (a hop into a SINK spans 0).  Any weight up to
+        # 1/span is then consistent, and so is the affinity floor
+        # below it.  Both settle every node at its optimal distance
+        # and rank equal-distance nodes in the same Manhattan order,
+        # so the larger weight changes no route, only skips pops.
+        if len(request.modes) == self.n_modes:
+            astar_fac = self._shared_fac
+        else:
+            astar_fac = self.astar_fac
+        starts = self._seed(request)
+        found = heap_search_untimed(
+            starts,
+            request.sink,
+            self._heuristic(request.sink, astar_fac),
+            pn,
+            pnA,
+            static_set,
+            self._nbr,
+            self._target_adjacency(request.sink),
+            [_INF] * self._n_nodes,
+            self._parent_node,
+            self._parent_bit,
+            stats=self.stats,
+        )
+        return self._backtrack(request.sink, starts) if found else None
+
+    def _search_timed(
         self, request: RouteRequest, pres_fac: float, crit: float
-    ) -> ConnectionRoute:
-        """Timed twin of :meth:`_route_connection` (same kernel
-        module, criticality-blended edge costs)."""
-        edges = scalar_search_timed(self, request, pres_fac, crit)
-        if edges is None:
-            raise RoutingError(
-                f"no path from {self.rrg.describe(request.source)} "
-                f"to {self.rrg.describe(request.sink)}"
-            )
-        return ConnectionRoute(request, edges)
+    ) -> Optional[List[Tuple[int, int, int]]]:
+        """Timed twin of :meth:`_search`.
+
+        Criticality differs per connection, so nothing
+        criticality-weighted is worth precomputing: the kernel blends
+        the *cached* congestion vectors with the static per-node delay
+        lists edge by edge — ``g + (inv_crit * congestion + crit *
+        delay)`` — exactly the scalar grouping."""
+        pn, pnA, static_set = self._price_vectors(request, pres_fac)
+        inv_crit = 1.0 - crit
+        astar_fac = (
+            inv_crit * self.astar_fac
+            + crit * self.timing.model.wire_delay
+        )
+        rrg = self.rrg
+        starts = self._seed(request)
+        found = heap_search_timed(
+            starts,
+            request.sink,
+            rrg.node_x,
+            rrg.node_y,
+            astar_fac,
+            inv_crit,
+            crit,
+            self._node_delay,
+            self._node_delay_switch,
+            pn,
+            pnA,
+            static_set,
+            self._nbr,
+            self._target_adjacency(request.sink),
+            [_INF] * self._n_nodes,
+            self._parent_node,
+            self._parent_bit,
+            stats=self.stats,
+        )
+        return self._backtrack(request.sink, starts) if found else None
+
+    def _target_adjacency(
+        self, target: int
+    ) -> Dict[int, Tuple[Tuple[int, int], ...]]:
+        """The heap kernels' per-target overlay on the wire-only
+        neighbour tuples.  It maps each node with an edge into a pin
+        that leads to *target* (the target block's IPINs and their
+        in-wires) to its wire edges plus those pin edges, in
+        ``adjacency`` order.  Every other pin is a dead end for this
+        target and stays out of the search."""
+        tadj = self._tadj.get(target)
+        if tadj is None:
+            rrg = self.rrg
+            pin_src = rrg.pin_sources()
+            # The target and the pins leading to it: a source with
+            # in-edges of its own is a pin (wires and OPINs have none).
+            live = [target]
+            for pin in live:
+                for src in pin_src[pin]:
+                    if pin_src[src] and src not in live:
+                        live.append(src)
+            kinds = rrg.node_kind
+            tadj = {
+                src: tuple(
+                    edge for edge in rrg.adjacency[src]
+                    if kinds[edge[0]] == WIRE or edge[0] in live
+                )
+                for pin in live
+                for src in pin_src[pin]
+            }
+            self._tadj[target] = tadj
+        return tadj
+
+    def _seed(self, request: RouteRequest) -> set:
+        """Start set (source + the net's trunk) of one search."""
+        starts = {request.source}
+        starts.update(self._trunk_nodes(request))
+        return starts
+
+    def _backtrack(
+        self, target: int, starts: set
+    ) -> List[Tuple[int, int, int]]:
+        parent_node = self._parent_node
+        parent_bit = self._parent_bit
+        edges: List[Tuple[int, int, int]] = []
+        node = target
+        while node not in starts:
+            edges.append((parent_node[node], node, parent_bit[node]))
+            node = parent_node[node]
+        edges.reverse()
+        return edges
 
     # -- main loop -----------------------------------------------------------
 
@@ -668,72 +908,31 @@ class PathFinderRouter:
         )
         return by_net, net_order
 
-    def _partial_keep(
-        self,
-        net_requests: List[RouteRequest],
-        routes: Dict[int, ConnectionRoute],
-        congested_set: Set[int],
-    ) -> Set[int]:
-        """Connections of one dirty net that survive a partial rip-up.
-
-        A route is kept when (a) it touches no congested node and
-        (b) it stays *anchored*: starting from the net's source, the
-        kept routes must chain into a connected tree in **every** mode
-        — the same per-mode fixpoint :func:`validate_routing` checks.
-        Routes whose first node hangs off a ripped branch are dropped
-        until the fixpoint stabilises, so trunk seeding over the
-        survivors can never produce a stranded connection.
-        """
-        keep: Dict[int, ConnectionRoute] = {}
-        for request in net_requests:
-            route = routes.get(request.conn_id)
-            if route is None:
-                continue
-            if congested_set.intersection(route.nodes()):
-                continue
-            keep[request.conn_id] = route
-        if not keep:
-            return set()
-        source = net_requests[0].source
-        while True:
-            dropped = False
-            modes = sorted(
-                {
-                    mode
-                    for route in keep.values()
-                    for mode in route.request.modes
-                }
-            )
-            for mode in modes:
-                pending = [
-                    route
-                    for route in keep.values()
-                    if mode in route.request.modes
-                ]
-                reachable = {source}
-                progress = True
-                while pending and progress:
-                    progress = False
-                    remaining = []
-                    for route in pending:
-                        nodes = route.nodes()
-                        if not nodes or nodes[0] in reachable:
-                            reachable.update(nodes)
-                            progress = True
-                        else:
-                            remaining.append(route)
-                    pending = remaining
-                if pending:
-                    for route in pending:
-                        keep.pop(route.request.conn_id, None)
-                    dropped = True
-            if not dropped:
-                return set(keep)
-
     def route(
         self, requests: Sequence[RouteRequest]
     ) -> RoutingResult:
-        """Route all *requests*; raises :class:`RoutingError` on failure."""
+        """Route all *requests*; raises :class:`RoutingError` on failure.
+
+        The cyclic GC is paused for the duration: the searches
+        allocate millions of short-lived, acyclic heap tuples, and
+        every ~700 of them trigger a generation-0 collection that
+        scans the young objects for cycles that cannot exist.  Pausing
+        is worth ~5% wall clock and cannot leak — nothing allocated
+        here is cyclic, and the previous GC state is restored even on
+        RoutingError.
+        """
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.disable()
+        try:
+            return self._negotiate(requests)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def _negotiate(
+        self, requests: Sequence[RouteRequest]
+    ) -> RoutingResult:
         for request in requests:
             if max(request.modes, default=0) >= self.n_modes:
                 raise ValueError(
@@ -745,32 +944,15 @@ class PathFinderRouter:
         pres_fac = self.pres_fac_first
         iteration = 0
         to_route: List[str] = list(net_order)
-        partial = self.partial_ripup
-        congested_set: Set[int] = set()
         while iteration < self.max_iterations:
             iteration += 1
             for net in to_route:
                 net_requests = by_net[net]
-                # Partial rip-up: keep the net's congestion-free,
-                # still-anchored subtrees registered — their nodes
-                # stay in the trunk, so rerouted branches get them as
-                # free multi-source seeds.
-                keep = (
-                    self._partial_keep(
-                        net_requests, routes, congested_set
-                    )
-                    if partial and congested_set
-                    else ()
-                )
                 for request in net_requests:
-                    if request.conn_id in keep:
-                        continue
                     old = routes.pop(request.conn_id, None)
                     if old is not None:
                         self._remove_route(old)
                 for request in net_requests:
-                    if request.conn_id in keep:
-                        continue
                     route = self._route_connection(request, pres_fac)
                     self._add_route(route)
                     routes[request.conn_id] = route
@@ -783,10 +965,11 @@ class PathFinderRouter:
                     self.rrg, routes, self.n_modes, iteration
                 )
             # Update history, raise present cost, reroute only the
-            # nets crossing congested nodes.
+            # nets crossing congested nodes.  Price vectors fold
+            # history in, so every cached entry is stale now.
             for node, overuse in congested.items():
                 self._hist[node] += self.acc_fac * overuse
-            self._history_updated()
+            self._price_entries.clear()
             pres_fac *= self.pres_fac_mult
             congested_set = set(congested)
             dirty = set()
@@ -830,9 +1013,9 @@ class PathFinderRouter:
         self, routes: Dict[int, ConnectionRoute]
     ) -> None:
         """Reset occupancy bookkeeping to exactly *routes*."""
+        self._price_entries.clear()
         for occ in self._occ:
-            for node in range(len(occ)):
-                occ[node] = 0
+            occ[:] = 0
         self._net_mode_refs.clear()
         self._overused.clear()
         for refs in self._bit_refs:
@@ -912,11 +1095,43 @@ class PathFinderRouter:
 
 
 class ScalarPathFinderRouter(PathFinderRouter):
-    """The scalar reference core, unconditionally.
+    """The scalar reference: pure-Python searches priced one node at
+    a time.
 
-    A/B harnesses (the equivalence tests, ``repro bench-exec``'s
-    ``router_vectorized`` phase) need the reference implementation
-    regardless of ``REPRO_SCALAR_ROUTER``; this subclass bypasses the
-    construction-time dispatch and inherits the scalar loops
-    unchanged.
+    Only the two search methods and their scratch arrays differ from
+    :class:`PathFinderRouter`; negotiation, bookkeeping and sweeps are
+    the production core's.  The scratch is the RRG's CSR neighbour
+    arrays, epoch-stamped distance/visited arrays and the per-search
+    node-pricing cache: within one connection search a node's cost is
+    bit-independent except for the bit-affinity multiplier, so the
+    expensive part (occupancy, history, net affinity, noise) is
+    computed once per node per search instead of once per incoming
+    edge.  The equivalence tests route every workload through both
+    cores and compare them decision for decision.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        n = self.rrg.n_nodes
+        self._base = self.rrg.base_cost_array()
+        self._row_ptr, self._edge_dst, self._edge_bit = (
+            self.rrg.neighbor_arrays()
+        )
+        self._dist = [0.0] * n
+        self._dist_epoch = [0] * n
+        self._visited_epoch = [0] * n
+        self._price = [0.0] * n
+        self._price_over0 = [False] * n
+        self._price_noise = [0.0] * n
+        self._price_epoch = [0] * n
+        self._epoch = 0
+
+    def _search(
+        self, request: RouteRequest, pres_fac: float
+    ) -> Optional[List[Tuple[int, int, int]]]:
+        return scalar_search(self, request, pres_fac)
+
+    def _search_timed(
+        self, request: RouteRequest, pres_fac: float, crit: float
+    ) -> Optional[List[Tuple[int, int, int]]]:
+        return scalar_search_timed(self, request, pres_fac, crit)

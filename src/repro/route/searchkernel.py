@@ -1,55 +1,24 @@
-"""The one search-kernel module behind every PathFinder core.
+"""The search kernels behind the PathFinder router.
 
-Before this module the repo carried three near-identical copies of the
-connection-search loop: the scalar reference pair in
-``route/router.py`` (untimed + timed, with the per-search price cache
-inlined) and the four vectorized loops in ``route/vectorized.py``
-(untimed/timed x with/without the bit-sharing discount).  TRoute
-dispatches through :class:`~repro.route.router.PathFinderRouter`, so
-unifying the loops here puts **every** router entry point — MDR
-routing, TRoute, the bit-sharing sweeps — behind one kernel module,
-and a new queue discipline lands in exactly one place.
-
-Three kernel families live here:
-
-``scalar_search`` / ``scalar_search_timed``
-    The reference loops, moved verbatim from ``router.py`` (the
-    router object is duck-typed in; the bodies are unchanged).  These
-    define bit-exactness.
+Every router entry point — MDR routing, TRoute, the bit-sharing
+sweeps — searches through one of two kernel families:
 
 ``heap_search_untimed`` / ``heap_search_timed``
-    The vectorized core's binary-heap loops.  The with/without-bit
-    variants collapsed into one kernel each: with an **empty**
-    ``static_set`` the per-edge test ``bit >= 0 and bit in
-    static_set`` is always false and the kernel evaluates the exact
-    same float expression as the old no-bit loop — merging is
-    decision-for-decision identical, which the equivalence suite
-    (``tests/test_router_equivalence.py``) continues to assert.  They
-    search only wire edges plus the target block's pin edges and seed
-    only live nodes, which skips heap entries that could never relax
-    anything.
+    The production core's binary-heap loops over precomputed price
+    lists.  With an **empty** ``static_set`` the per-edge test ``bit
+    >= 0 and bit in static_set`` is always false and the kernel
+    evaluates the exact float expression of a loop without the
+    bit-sharing discount.  They search only wire edges plus the
+    target block's pin edges and seed only live nodes, which skips
+    heap entries that could never relax anything.
 
-``bucket_search_untimed`` / ``bucket_search_timed``
-    The batched-wavefront engine: a bucket (delta-stepping) priority
-    queue over the quantized ``f = g + h`` grid.  Each "pop" drains
-    the entire lowest bucket and numpy prices the whole frontier in
-    one shot — CSR edge expansion, cost blend, per-destination
-    canonical minimum — instead of relaxing one edge at a time.
-
-**Bucket quantization contract.**  The bucket width ``delta`` is the
-minimum additive node price over non-sink nodes (timed: the
-criticality blend of the minimum congestion price and the minimum
-edge delay), so along any path every hop advances ``f`` by at least
-one bucket.  Entries within one bucket settle together without
-intra-bucket re-relaxation, so a settled label may exceed the true
-optimum by up to ``delta`` per bucket boundary crossed — the batched
-core therefore does **not** promise bit-identity with the scalar
-reference; it is gated by the QoR campaign tolerances instead.  What
-it does promise is determinism: bucket membership, drain order
-(lowest bucket first) and the per-destination winner (lowest ``ng``,
-then lowest source node, then lowest bit, via a stable lexsort) are
-pure functions of the price state, independent of worker count,
-scheduling or memory layout.
+``scalar_search`` / ``scalar_search_timed``
+    The scalar reference loops of
+    :class:`~repro.route.router.ScalarPathFinderRouter` (the router
+    object is duck-typed in): every node is priced on first touch,
+    one dict probe at a time.  They define bit-exactness, and the
+    equivalence tests hold the heap kernels to them decision for
+    decision.
 """
 
 from __future__ import annotations
@@ -57,101 +26,55 @@ from __future__ import annotations
 import heapq
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.rrg import SINK as _SINK, WIRE as _WIRE
 
-try:  # numpy is optional at import time: the scalar reference path
-    import numpy as np  # must stay importable without it.
-except ImportError:  # pragma: no cover - exercised implicitly
-    np = None  # type: ignore[assignment]
-
-_INF = float("inf")
 _NEG_INF = float("-inf")
 
-#: Shared empty static-bit set: passed to the heap kernels when no
-#: bit-sharing discount is live, making the merged kernels evaluate
-#: the exact expressions of the old no-bit loops.
+#: Shared empty static-bit set: the price entry of a search with no
+#: live bit-sharing discount, making the heap kernels evaluate the
+#: exact expressions of a loop without the discount.
 EMPTY_STATIC: frozenset = frozenset()
 
 
 @dataclass
 class RouterStats:
-    """Profiling counters of every search kernel family.
+    """Profiling counters of the search kernels.
 
-    Filled by the scalar, heap and bucket kernels (pass a
-    ``RouterStats`` to the router's ``stats=`` keyword; the batched
-    core creates one unconditionally) and surfaced through the
-    ``router_*`` phases of ``repro bench-exec`` (BENCH_exec.json
-    schema 5), where the per-core pop counts attribute exactly what a
-    tighter heuristic saves.  Plain ints so the object is trivially
-    picklable and mergeable.
+    Pass a ``RouterStats`` to the router's ``stats=`` keyword (or to
+    :func:`~repro.route.troute.route_lut_circuit` /
+    :func:`~repro.route.troute.route_tunable_circuit`); every search
+    adds to it.  Pops differ between the production core and the
+    scalar reference (the heap kernels skip dead-end pins and search
+    shared connections with a larger, still consistent A* weight);
+    searches and routes do not.
     """
 
-    #: queue extractions: heap pops including stale entries; for the
-    #: bucket kernels, nodes drained (one frontier counts its width).
+    #: heap pops, including stale entries.
     pops: int = 0
-    #: queue insertions (heap pushes / bucket queue improvements),
-    #: including the start seeds.
+    #: heap pushes, including the start seeds.
     pushes: int = 0
     #: nodes settled: pops that survive the staleness check and
-    #: expand their fanout (bucket kernels settle whole frontiers).
+    #: expand their fanout.
     settled: int = 0
-    #: bucket drains (the batched analogue of a heap pop).
-    drains: int = 0
     #: connection searches run.
     searches: int = 0
-    #: widest single drained frontier.
-    max_frontier: int = 0
-    #: sum of drained frontier widths (mean = frontier_nodes/drains).
-    frontier_nodes: int = 0
-    #: nets replayed by the deterministic conflict-resolution pass.
-    conflict_replays: int = 0
-    #: parallel negotiation rounds executed.
-    parallel_rounds: int = 0
-
-    def merge(self, other: "RouterStats") -> None:
-        self.pops += other.pops
-        self.pushes += other.pushes
-        self.settled += other.settled
-        self.drains += other.drains
-        self.searches += other.searches
-        self.max_frontier = max(self.max_frontier, other.max_frontier)
-        self.frontier_nodes += other.frontier_nodes
-        self.conflict_replays += other.conflict_replays
-        self.parallel_rounds += other.parallel_rounds
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "pops": self.pops,
-            "pushes": self.pushes,
-            "settled": self.settled,
-            "drains": self.drains,
-            "searches": self.searches,
-            "max_frontier": self.max_frontier,
-            "mean_frontier": (
-                self.frontier_nodes / self.drains if self.drains else 0.0
-            ),
-            "conflict_replays": self.conflict_replays,
-            "parallel_rounds": self.parallel_rounds,
-        }
 
 
 # -- scalar reference kernels ---------------------------------------------
 #
-# Moved verbatim from PathFinderRouter._route_connection /
-# _route_connection_timed; the router object is duck-typed in.  The
-# kernels return the edge list of the found path, or None when the
-# sink is unreachable (the caller owns the RoutingError message).
+# The router object is duck-typed in.  The kernels return the edge
+# list of the found path, or None when the sink is unreachable (the
+# caller owns the RoutingError message).
 
 
 def scalar_search(
     router, request, pres_fac: float
 ) -> Optional[List[Tuple[int, int, int]]]:
-    """Reference multi-source A* (untimed): ``_node_cost`` inlined
-    into the relaxation loop with the per-connection-constant parts
-    hoisted out, so decisions are bit-identical to the pure cost
-    model while avoiding a method call per scanned edge."""
+    """Reference multi-source A* (untimed): the cost model of the
+    router module docstring inlined into the relaxation loop, with
+    the per-connection-constant parts hoisted out."""
     rrg = router.rrg
     target = request.sink
     node_x = rrg.node_x
@@ -160,15 +83,6 @@ def scalar_search(
     net_salt = zlib.crc32(request.net.encode())
     astar_fac = router.astar_fac
     net = request.net
-    # Lookahead heuristic: the same scaled per-target list the
-    # vectorized kernel reads, so enabling it keeps the two cores
-    # bit-identical to each other.
-    lookahead = router.lookahead
-    lk = (
-        lookahead.cost_list_scaled(target, astar_fac)
-        if lookahead is not None
-        else None
-    )
     stats = router.stats
     n_pops = n_pushes = n_settled = 0
 
@@ -234,16 +148,13 @@ def scalar_search(
     for start in starts:
         dist[start] = 0.0
         dist_epoch[start] = epoch
-        if lk is not None:
-            heappush(heap, (lk[start], 0.0, start))
-        else:
-            dx = node_x[start] - tx
-            if dx < 0:
-                dx = -dx
-            dy = node_y[start] - ty
-            if dy < 0:
-                dy = -dy
-            heappush(heap, (astar_fac * (dx + dy), 0.0, start))
+        dx = node_x[start] - tx
+        if dx < 0:
+            dx = -dx
+        dy = node_y[start] - ty
+        if dy < 0:
+            dy = -dy
+        heappush(heap, (astar_fac * (dx + dy), 0.0, start))
     n_pushes += len(heap)
     found = target in starts
     while heap:
@@ -260,7 +171,7 @@ def scalar_search(
             nxt = edge_dst[e]
             if visited[nxt] == epoch:
                 continue
-            # -- _node_cost, inlined --------------------------------
+            # -- the cost model, inlined ----------------------------
             # The bit-independent part of a node's price is fixed
             # for the whole search; compute it on first touch and
             # reuse it for every further incoming edge.
@@ -310,8 +221,8 @@ def scalar_search(
                         break
                 else:
                     bit_cost = cost * bit_affinity
-                # Grouped exactly as the reference _node_cost
-                # (g + (cost + noise)): float addition is not
+                # Grouped as g + (cost + noise), exactly like the
+                # production core's price lists: float addition is not
                 # associative and a one-ULP difference flips
                 # equal-cost tie-breaks.
                 ng = g + (bit_cost + 0.01 * noise)
@@ -324,18 +235,13 @@ def scalar_search(
                 parent_node[nxt] = node
                 parent_bit[nxt] = bit
                 n_pushes += 1
-                if lk is not None:
-                    heappush(heap, (ng + lk[nxt], ng, nxt))
-                else:
-                    dx = node_x[nxt] - tx
-                    if dx < 0:
-                        dx = -dx
-                    dy = node_y[nxt] - ty
-                    if dy < 0:
-                        dy = -dy
-                    heappush(
-                        heap, (ng + astar_fac * (dx + dy), ng, nxt)
-                    )
+                dx = node_x[nxt] - tx
+                if dx < 0:
+                    dx = -dx
+                dy = node_y[nxt] - ty
+                if dy < 0:
+                    dy = -dy
+                heappush(heap, (ng + astar_fac * (dx + dy), ng, nxt))
     if stats is not None:
         stats.searches += 1
         stats.pops += n_pops
@@ -381,18 +287,6 @@ def scalar_search_timed(
     astar_fac = (
         inv_crit * router.astar_fac + crit * model.wire_delay
     )
-    # Lookahead: blend the unscaled cost/delay lower-bound vectors per
-    # push — identical expression (and grouping) to the heap kernel's,
-    # so both cores stay bit-identical with the lookahead on.
-    lookahead = router.lookahead
-    if lookahead is not None:
-        lkc = lookahead.cost_list(target)
-        lkd = lookahead.delay_list(target)
-        lk_a = inv_crit * router.astar_fac
-        lk_b = crit
-    else:
-        lkc = lkd = None
-        lk_a = lk_b = 0.0
     stats = router.stats
     n_pops = n_pushes = n_settled = 0
 
@@ -451,19 +345,13 @@ def scalar_search_timed(
     for start in starts:
         dist[start] = 0.0
         dist_epoch[start] = epoch
-        if lkc is not None:
-            heappush(
-                heap,
-                (lk_a * lkc[start] + lk_b * lkd[start], 0.0, start),
-            )
-        else:
-            dx = node_x[start] - tx
-            if dx < 0:
-                dx = -dx
-            dy = node_y[start] - ty
-            if dy < 0:
-                dy = -dy
-            heappush(heap, (astar_fac * (dx + dy), 0.0, start))
+        dx = node_x[start] - tx
+        if dx < 0:
+            dx = -dx
+        dy = node_y[start] - ty
+        if dy < 0:
+            dy = -dy
+        heappush(heap, (astar_fac * (dx + dy), 0.0, start))
     n_pushes += len(heap)
     found = target in starts
     while heap:
@@ -541,26 +429,13 @@ def scalar_search_timed(
                 parent_node[nxt] = node
                 parent_bit[nxt] = bit
                 n_pushes += 1
-                if lkc is not None:
-                    heappush(
-                        heap,
-                        (
-                            ng
-                            + (lk_a * lkc[nxt] + lk_b * lkd[nxt]),
-                            ng,
-                            nxt,
-                        ),
-                    )
-                else:
-                    dx = node_x[nxt] - tx
-                    if dx < 0:
-                        dx = -dx
-                    dy = node_y[nxt] - ty
-                    if dy < 0:
-                        dy = -dy
-                    heappush(
-                        heap, (ng + astar_fac * (dx + dy), ng, nxt)
-                    )
+                dx = node_x[nxt] - tx
+                if dx < 0:
+                    dx = -dx
+                dy = node_y[nxt] - ty
+                if dy < 0:
+                    dy = -dy
+                heappush(heap, (ng + astar_fac * (dx + dy), ng, nxt))
     if stats is not None:
         stats.searches += 1
         stats.pops += n_pops
@@ -577,7 +452,7 @@ def scalar_search_timed(
     return edges
 
 
-# -- binary-heap kernels (vectorized core) --------------------------------
+# -- binary-heap kernels (production core) --------------------------------
 
 
 def heap_search_untimed(
@@ -599,17 +474,16 @@ def heap_search_untimed(
     The search graph is *target*'s: ``nbr`` holds every node's
     wire-bound edges and ``tadj`` replaces them, for the few nodes
     with an edge toward the target's own pins, by the same edges plus
-    those pin edges (see ``VectorizedPathFinderRouter``).  Every other
+    those pin edges (see ``PathFinderRouter._target_adjacency``).  Every other
     pin is a dead end, so it is never pushed, and a seed with no edge
     in this graph is never seeded.  ``dist`` is the caller's fresh
     ``[+inf] * n`` sentinel list (+inf = unseen, -inf = settled).
     With ``static_set`` empty the per-edge discount test is dead and
-    the kernel is decision-identical to the historical no-bit loop;
+    the kernel is decision-identical to a loop without the discount;
     callers without a live discount pass ``pnA=pn`` and
-    :data:`EMPTY_STATIC`.  ``h`` is whatever per-target heuristic list
-    the caller precomputed (Manhattan or lookahead) — the kernel is
-    agnostic.  Returns whether *target* was reached (parents are
-    valid then)."""
+    :data:`EMPTY_STATIC`.  ``h`` is the caller's per-target heuristic
+    list, already scaled by the A* weight.  Returns whether *target*
+    was reached (parents are valid then)."""
     heappush = heapq.heappush
     heappop = heapq.heappop
     neg_inf = _NEG_INF
@@ -670,20 +544,14 @@ def heap_search_timed(
     dist: List[float],
     parent_node: List[int],
     parent_bit: List[int],
-    lkc: Optional[List[float]] = None,
-    lkd: Optional[List[float]] = None,
-    lk_a: float = 0.0,
-    lk_b: float = 0.0,
     stats: Optional[RouterStats] = None,
 ) -> bool:
     """Timed heap search: ``g + (inv_crit * price + crit * delay)``
     per edge with the per-push Manhattan heuristic (the
-    criticality-scaled weight defeats caching).  With a lookahead
-    (``lkc``/``lkd`` unscaled cost/delay vectors) the heuristic is
-    the blend ``lk_a * lkc + lk_b * lkd`` instead — the exact
-    expression :func:`scalar_search_timed` evaluates, preserving
-    scalar/vectorized bit-identity.  Same search graph, seeding and
-    merged-variant contract as :func:`heap_search_untimed`."""
+    criticality-scaled weight defeats caching), evaluated exactly
+    as :func:`scalar_search_timed` does.  Same search graph, seeding
+    and ``pnA``/``static_set`` contract as
+    :func:`heap_search_untimed`."""
     tx, ty = node_x[target], node_y[target]
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -695,19 +563,13 @@ def heap_search_timed(
         if not (nbr[start] or start in tadj or start == target):
             continue
         dist[start] = 0.0
-        if lkc is not None:
-            heappush(
-                heap,
-                (lk_a * lkc[start] + lk_b * lkd[start], 0.0, start),
-            )
-        else:
-            dx = node_x[start] - tx
-            if dx < 0:
-                dx = -dx
-            dy = node_y[start] - ty
-            if dy < 0:
-                dy = -dy
-            heappush(heap, (astar_fac * (dx + dy), 0.0, start))
+        dx = node_x[start] - tx
+        if dx < 0:
+            dx = -dx
+        dy = node_y[start] - ty
+        if dy < 0:
+            dy = -dy
+        heappush(heap, (astar_fac * (dx + dy), 0.0, start))
     n_pushes += len(heap)
     found = target in starts
     while heap:
@@ -732,282 +594,16 @@ def heap_search_timed(
                 parent_node[nxt] = node
                 parent_bit[nxt] = bit
                 n_pushes += 1
-                if lkc is not None:
-                    heappush(
-                        heap,
-                        (
-                            ng
-                            + (lk_a * lkc[nxt] + lk_b * lkd[nxt]),
-                            ng,
-                            nxt,
-                        ),
-                    )
-                else:
-                    dx = node_x[nxt] - tx
-                    if dx < 0:
-                        dx = -dx
-                    dy = node_y[nxt] - ty
-                    if dy < 0:
-                        dy = -dy
-                    heappush(
-                        heap, (ng + astar_fac * (dx + dy), ng, nxt)
-                    )
+                dx = node_x[nxt] - tx
+                if dx < 0:
+                    dx = -dx
+                dy = node_y[nxt] - ty
+                if dy < 0:
+                    dy = -dy
+                heappush(heap, (ng + astar_fac * (dx + dy), ng, nxt))
     if stats is not None:
         stats.searches += 1
         stats.pops += n_pops
         stats.pushes += n_pushes
         stats.settled += n_settled
     return found
-
-# -- bucket (delta-stepping) kernels --------------------------------------
-#
-# State per search: ``dist`` and ``fq`` are float64 arrays pre-filled
-# +inf by the caller, ``parent_node``/``parent_bit`` int64 arrays.
-# ``dist`` holds the tentative label (+inf unseen, -inf settled);
-# ``fq`` is the *dense priority queue*: ``fq[node]`` is the queued
-# node's f-value (``g + h``), +inf when the node is not queued.  A
-# drain is three whole-array operations — ``fq.min()``, a threshold
-# compare ``fq <= min + delta``, ``flatnonzero`` — and an improvement
-# simply overwrites ``fq[dst]`` in place, so there is no pending
-# pool, no concatenation and no stale entries at all.  This is
-# delta-stepping with the bucket boundary re-anchored at the live
-# minimum: every settled label is within ``delta`` of the true
-# optimum per bucket crossing (the quantization contract), and the
-# dense queue makes a drain O(n_nodes) flat work, which for routing
-# graphs of a few thousand nodes is cheaper than any sparse pool
-# bookkeeping.
-#
-# The expansion side works on a *padded adjacency matrix*: ``adj_e``
-# is ``(n_nodes, max_fanout)`` of edge ids, padded with the sentinel
-# id ``n_edges``, so expanding a frontier is a single 2-D gather with
-# no ragged CSR arithmetic.  Prices are *edge-indexed*: ``pe[edge]``
-# is the full additive cost of taking that edge (bit-affinity
-# discount already resolved per edge, sink edges and the pad slot
-# priced +inf), built once per price entry and reused by every drain
-# of every search under that entry.  Pad and sink edges therefore
-# relax to +inf and drop out in the ordinary ``ng < dist`` filter —
-# no per-drain masking at all.  Edges into the search target are the
-# one exception (the only sink that must stay reachable): those rows
-# are repriced from the node-level vectors in a tiny fix-up.
-#
-# Termination prunes by the target bound: once the target's
-# tentative label is within ``delta`` of the queue minimum it can
-# only improve by less than the quantization the contract already
-# allows, so the search stops, and pushes with ``f`` beyond the
-# current target label are dropped (they could never contribute a
-# better target path with an admissible heuristic).
-
-
-def bucket_search_untimed(
-    starts,
-    target: int,
-    h,
-    pn,
-    pnA,
-    static_lut,
-    pe,
-    adj_e,
-    pdst,
-    pedge_src,
-    pedge_bit,
-    dist,
-    fq,
-    parent_node,
-    parent_bit,
-    delta: float,
-    stats: RouterStats,
-) -> bool:
-    """Batched-wavefront untimed search.
-
-    All graph and price inputs are numpy arrays (``h`` already scaled
-    by the A* weight).  ``pe`` is the edge-indexed price vector of
-    the live price entry; ``pn``/``pnA``/``static_lut`` are its
-    node-level sources, used only to reprice edges into the target.
-    Each iteration drains one frontier whole: one settle write, one
-    padded-adjacency gather and one price/relaxation pass over every
-    outgoing edge.  Ties between edges improving the same destination
-    go to the lowest ``ng`` then the lowest edge id — a pure function
-    of the inputs, so results are independent of worker count and
-    identical warm or cold."""
-    stats.searches += 1
-    if target in starts:
-        return True
-    s = np.fromiter(starts, np.int64, len(starts))
-    dist[s] = 0.0
-    fq[s] = h[s]
-    stats.pushes += s.shape[0]
-    inf = _INF
-    neg_inf = _NEG_INF
-    while True:
-        fmin = fq.min()
-        if fmin == inf:
-            break
-        if dist[target] <= fmin + delta:
-            return True
-        nodes = np.flatnonzero(fq <= fmin + delta)
-        gs = dist[nodes]
-        fq[nodes] = inf
-        dist[nodes] = neg_inf
-        width = nodes.shape[0]
-        stats.pops += width
-        stats.settled += width
-        stats.drains += 1
-        stats.frontier_nodes += width
-        if width > stats.max_frontier:
-            stats.max_frontier = width
-        # Padded-adjacency expansion: one 2-D gather, one broadcast
-        # add; pad and sink edges price +inf and fall out of the
-        # ``better`` filter on their own.
-        e2 = adj_e[nodes]
-        ng = (gs[:, None] + pe[e2].reshape(e2.shape)).ravel()
-        e = e2.ravel()
-        dst = pdst[e]
-        tm = dst == target
-        if tm.any():
-            ti = np.flatnonzero(tm)
-            if pnA is not None:
-                add_t = np.where(
-                    static_lut[pedge_bit[e[ti]]],
-                    pnA[target],
-                    pn[target],
-                )
-            else:
-                add_t = pn[target]
-            ng[ti] = gs[ti // e2.shape[1]] + add_t
-        better = ng < dist[dst]
-        if not better.any():
-            continue
-        e = e[better]
-        ng = ng[better]
-        dst = dst[better]
-        # Canonical per-destination winner: lowest ng, then lowest
-        # edge id (edge ids order by source node then adjacency
-        # position, so the rule is a pure function of the graph).
-        order = np.lexsort((e, ng, dst))
-        dst = dst[order]
-        first = np.empty(dst.shape[0], np.bool_)
-        first[0] = True
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        sel = order[first]
-        dst = dst[first]
-        ng = ng[sel]
-        e = e[sel]
-        dist[dst] = ng
-        parent_node[dst] = pedge_src[e]
-        parent_bit[dst] = pedge_bit[e]
-        fnew = ng + h[dst]
-        dt = dist[target]
-        if dt < inf:
-            qm = fnew < dt
-            dst = dst[qm]
-            fq[dst] = fnew[qm]
-        else:
-            fq[dst] = fnew
-        stats.pushes += dst.shape[0]
-    return dist[target] != _INF
-
-
-def bucket_search_timed(
-    starts,
-    target: int,
-    h,
-    inv_crit: float,
-    crit: float,
-    nd,
-    nds,
-    pn,
-    pnA,
-    static_lut,
-    pe,
-    pde,
-    adj_e,
-    pdst,
-    pedge_src,
-    pedge_bit,
-    dist,
-    fq,
-    parent_node,
-    parent_bit,
-    delta: float,
-    stats: RouterStats,
-) -> bool:
-    """Timed twin of :func:`bucket_search_untimed`: the edge cost is
-    the criticality blend ``inv_crit * price + crit * delay`` with
-    ``pde`` the edge-indexed delay vector (switch-inclusive on
-    bit-carrying edges, +inf on the pad slot); ``h`` is the Manhattan
-    vector already scaled by the blended A* weight."""
-    stats.searches += 1
-    if target in starts:
-        return True
-    s = np.fromiter(starts, np.int64, len(starts))
-    dist[s] = 0.0
-    fq[s] = h[s]
-    stats.pushes += s.shape[0]
-    inf = _INF
-    neg_inf = _NEG_INF
-    while True:
-        fmin = fq.min()
-        if fmin == inf:
-            break
-        if dist[target] <= fmin + delta:
-            return True
-        nodes = np.flatnonzero(fq <= fmin + delta)
-        gs = dist[nodes]
-        fq[nodes] = inf
-        dist[nodes] = neg_inf
-        width = nodes.shape[0]
-        stats.pops += width
-        stats.settled += width
-        stats.drains += 1
-        stats.frontier_nodes += width
-        if width > stats.max_frontier:
-            stats.max_frontier = width
-        e2 = adj_e[nodes]
-        e = e2.ravel()
-        cost = inv_crit * pe[e] + crit * pde[e]
-        ng = (gs[:, None] + cost.reshape(e2.shape)).ravel()
-        dst = pdst[e]
-        tm = dst == target
-        if tm.any():
-            ti = np.flatnonzero(tm)
-            bits_t = pedge_bit[e[ti]]
-            if pnA is not None:
-                cong_t = np.where(
-                    static_lut[bits_t], pnA[target], pn[target]
-                )
-            else:
-                cong_t = pn[target]
-            delay_t = np.where(
-                bits_t >= 0, nds[target], nd[target]
-            )
-            ng[ti] = gs[ti // e2.shape[1]] + (
-                inv_crit * cong_t + crit * delay_t
-            )
-        better = ng < dist[dst]
-        if not better.any():
-            continue
-        e = e[better]
-        ng = ng[better]
-        dst = dst[better]
-        order = np.lexsort((e, ng, dst))
-        dst = dst[order]
-        first = np.empty(dst.shape[0], np.bool_)
-        first[0] = True
-        np.not_equal(dst[1:], dst[:-1], out=first[1:])
-        sel = order[first]
-        dst = dst[first]
-        ng = ng[sel]
-        e = e[sel]
-        dist[dst] = ng
-        parent_node[dst] = pedge_src[e]
-        parent_bit[dst] = pedge_bit[e]
-        fnew = ng + h[dst]
-        dt = dist[target]
-        if dt < inf:
-            qm = fnew < dt
-            dst = dst[qm]
-            fq[dst] = fnew[qm]
-        else:
-            fq[dst] = fnew
-        stats.pushes += dst.shape[0]
-    return dist[target] != _INF

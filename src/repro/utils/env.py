@@ -1,7 +1,7 @@
 """Strict parsing of boolean environment flags.
 
-Flags such as ``REPRO_SCALAR_ROUTER`` and ``REPRO_CACHE_DISABLE`` used
-to be tested for a non-empty string, so ``=0`` turned them *on*.
+Flags such as ``REPRO_CACHE_DISABLE`` used to be tested for a
+non-empty string, so ``=0`` turned them *on*.
 :func:`env_flag` is the one parser: it accepts the usual spellings and
 rejects everything else, so a typo never silently flips a switch.
 """

@@ -424,44 +424,6 @@ class TestScheduler:
             )
         assert seen == [0]
 
-    def test_thread_mode_runs_unpicklable_tasks(self):
-        """``use_threads=True`` exists for closures over live state
-        (the batched router's negotiation tasks), which the process
-        pool cannot pickle; submission order must still hold."""
-        scheduler = Scheduler(workers=3, use_threads=True)
-        state = {"hits": 0}
-
-        def task(i):
-            state["hits"] += 1
-            return i * i
-
-        results = scheduler.run(
-            [Task(lambda i=i: task(i)) for i in range(6)]
-        )
-        assert results == [i * i for i in range(6)]
-        assert state["hits"] == 6
-
-    def test_thread_mode_not_capped_by_cpu_count(self):
-        """Thread pools must exercise real concurrency even on
-        single-core CI boxes (the worker-count-independence tests
-        rely on it); process pools stay hardware-capped."""
-        threads = Scheduler(workers=4, use_threads=True)
-        assert threads.effective_workers(8) == 4
-        procs = Scheduler(workers=4)
-        assert procs.effective_workers(8) <= max(
-            1, os.cpu_count() or 1
-        )
-
-    def test_thread_mode_error_propagates(self):
-        scheduler = Scheduler(workers=2, use_threads=True)
-        tasks = [
-            Task(lambda: 1),
-            Task(_failing_task, (7,)),
-            Task(lambda: 3),
-        ]
-        with pytest.raises(ValueError, match="boom 7"):
-            scheduler.run(tasks)
-
 
 # ---------------------------------------------------------------------------
 # progress
@@ -632,7 +594,6 @@ class TestExecBench:
             inner_num=0.2,
             cache_dir=str(tmp_path / "cache"),
             pairs=pairs,
-            router_scale="tiny",
         )
         assert report["results_identical"]
         assert report["workload"]["n_pairs"] == 2
@@ -643,28 +604,7 @@ class TestExecBench:
         import json
 
         loaded = json.loads(out.read_text())
-        assert loaded["schema_version"] == 5
+        assert loaded["schema_version"] == 6
         timed = loaded["timing_driven_cold"]
         assert timed["seconds"] > 0
         assert timed["mdr_mean_critical_delay"] > 0
-        router = loaded["router_vectorized"]
-        assert router["results_identical"]
-        assert router["workload"]["scale"] == "tiny"
-        assert router["scalar_seconds"] > 0
-        assert router["vectorized_seconds"] > 0
-        assert router["speedup"] > 0
-        batched = loaded["router_batched"]
-        assert batched["seconds"] > 0
-        assert batched["deterministic_across_rounds"]
-        assert batched["wirelength_ratio_vs_vectorized"] > 0
-        assert batched["stats"]["drains"] > 0
-        assert batched["stats"]["searches"] > 0
-
-    def test_router_bench_is_bit_identical(self):
-        from repro.bench.exec_bench import run_router_bench
-
-        phase = run_router_bench(scale="tiny", rounds=1)
-        assert phase["results_identical"]
-        assert phase["workload"]["n_pairs"] == 4
-        assert phase["workload"]["n_tunable_connections"] > 0
-        assert phase["batched"]["stats"]["pops"] > 0

@@ -168,3 +168,28 @@ class TestSizingModes:
             strategies=(MergeStrategy.WIRE_LENGTH,),
         )
         assert result.arch.channel_width == 9
+
+
+class TestWidthRetries:
+    @pytest.mark.parametrize("retries, last_width", [(1, 1), (2, 3)])
+    def test_exhaustion_names_the_last_width_tried(
+        self, retries, last_width
+    ):
+        """When every width fails, the error names the last channel
+        width actually routed (1, then max(1 + 2, 1.25 * 1) = 3), not
+        the next one the retry loop would have tried."""
+        from repro.gen.suites import suite_pairs
+        from repro.route.router import RoutingError
+
+        name, modes = suite_pairs(
+            "xbar", seed=0, scale="tiny", limit=1
+        )[0]
+        options = FlowOptions(
+            channel_width=1, max_width_retries=retries,
+            router_max_iterations=2,
+        )
+        with pytest.raises(
+            RoutingError,
+            match=rf"unroutable even at channel width {last_width}: ",
+        ):
+            implement_multi_mode(name, modes, options)

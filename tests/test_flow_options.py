@@ -28,7 +28,6 @@ class TestRoundTrip:
             seed=3, k=5, slack=1.4, channel_width=11, inner_num=0.2,
             tplace_refine=False, sizing="search", timing_driven=True,
             criticality_exponent=2.0, timing_tradeoff=0.25,
-            batched_router=True, router_lookahead=True,
         )
         wire = json.loads(json.dumps(options.to_dict()))
         rebuilt = FlowOptions.from_dict(wire)

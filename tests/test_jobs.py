@@ -278,7 +278,6 @@ class TestRunTasks:
     def test_executor_for_one_worker_is_inline(self):
         assert executor_for(1, 10).kind == "inline"
         assert executor_for(4, 1).kind == "inline"
-        assert executor_for(4, 4, use_threads=True).kind == "thread"
 
     def test_resolve_workers(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)

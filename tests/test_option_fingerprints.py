@@ -22,7 +22,6 @@ from repro.core.flow import (
     OPTION_STAGE_COVERAGE,
     FlowOptions,
     dcs_stage_inputs,
-    lookahead_stage_inputs,
     multimode_stage_inputs,
     place_stage_inputs,
     route_lut_stage_inputs,
@@ -35,9 +34,7 @@ from repro.place.placer import place_circuit
 
 from tests.test_exec import tiny_circuit
 
-STAGES = (
-    "place", "route_lut", "dcs", "lookahead", "multimode", "campaign"
-)
+STAGES = ("place", "route_lut", "dcs", "multimode", "campaign")
 
 #: A perturbed (non-default) value per field; fields added to
 #: FlowOptions must gain an entry here too (the totality assertion
@@ -61,9 +58,6 @@ PERTURBED = {
     "timing_driven": True,
     "criticality_exponent": 4.0,
     "timing_tradeoff": 0.25,
-    "batched_router": True,
-    "router_lookahead": True,
-    "partial_ripup": True,
 }
 
 
@@ -77,7 +71,7 @@ def stage_context():
 
 
 def stage_keys(options, context):
-    """The four stage cache keys under *options* (fixed other inputs)."""
+    """The stage cache keys under *options* (fixed other inputs)."""
     circuit, arch, placement = context
     return {
         "place": fingerprint(
@@ -93,9 +87,6 @@ def stage_keys(options, context):
                 "t", (circuit,), arch,
                 MergeStrategy.WIRE_LENGTH, options,
             )
-        ),
-        "lookahead": fingerprint(
-            *lookahead_stage_inputs(arch, options)
         ),
         "multimode": fingerprint(
             *multimode_stage_inputs(

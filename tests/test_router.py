@@ -405,8 +405,7 @@ class TestBitSharing:
         ]
         router = PathFinderRouter(g, n_modes=2)
         result = router.route(reqs)
-        # _occ rows are plain lists in the scalar core and numpy
-        # arrays in the vectorized one; compare values, not types.
+        # _occ rows are numpy arrays; compare values, not types.
         occ_before = [list(map(int, row)) for row in router._occ]
         bit_refs_before = [dict(r) for r in router._bit_refs]
         router._rebuild_state(result.routes)

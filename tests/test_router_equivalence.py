@@ -1,18 +1,16 @@
-"""Scalar / vectorized router equivalence (the PR's bit-identity
-contract).
+"""Scalar reference / production router equivalence.
 
-The vectorized negotiation core (:mod:`repro.route.vectorized`) must
-make byte-identical decisions to the scalar reference in
-:mod:`repro.route.router`: identical edge lists, wirelength,
-iteration counts and bit sets, across circuit families, pricing modes
-(untimed, timing-driven), affinity settings and multi-mode activation
-shapes.  These tests route the same workloads through both cores
-explicitly (bypassing the ``REPRO_SCALAR_ROUTER`` dispatch) and
-compare results field by field.
+The router (:class:`~repro.route.router.PathFinderRouter`, numpy
+price lists and pruned heap searches) must make byte-identical
+decisions to :class:`~repro.route.router.ScalarPathFinderRouter`, the
+pure-Python reference that prices one node at a time: identical edge
+lists, wirelength, iteration counts and bit sets, across circuit
+families, pricing modes (untimed, timing-driven), affinity settings
+and multi-mode activation shapes.  These tests route the same
+workloads through both cores and compare results field by field.
 """
 
-import os
-
+import numpy as np
 import pytest
 
 from repro.arch.architecture import size_for_circuits
@@ -23,11 +21,11 @@ from repro.core.flow import FlowOptions
 from repro.gen.spec import build_circuit
 from repro.gen.suites import suite_pair_specs
 from repro.place.placer import place_circuit
+from repro.route import troute
 from repro.route.router import (
     PathFinderRouter,
     RoutingError,
     ScalarPathFinderRouter,
-    scalar_router_forced,
 )
 from repro.route.searchkernel import RouterStats
 from repro.route.troute import (
@@ -36,7 +34,6 @@ from repro.route.troute import (
     route_lut_circuit,
     route_tunable_circuit,
 )
-from repro.route.vectorized import VectorizedPathFinderRouter
 
 FAMILIES = ("datapath", "fsm", "xbar", "klut")
 
@@ -53,6 +50,14 @@ def _assert_identical(a, b):
     for mode in range(a.n_modes):
         assert a.bits_on(mode) == b.bits_on(mode)
         assert a.total_wirelength(mode) == b.total_wirelength(mode)
+
+
+def _on_scalar(monkeypatch, route_fn, *args, **kwargs):
+    """Run a :mod:`repro.route.troute` entry point on the scalar
+    reference instead of the production core."""
+    with monkeypatch.context() as patch:
+        patch.setattr(troute, "PathFinderRouter", ScalarPathFinderRouter)
+        return route_fn(*args, **kwargs)
 
 
 def _pair_fixture(family, seed=0):
@@ -78,32 +83,14 @@ def _pair_fixture(family, seed=0):
 
 
 class TestDispatch:
-    def test_default_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCALAR_ROUTER", raising=False)
+    def test_default_is_vectorized(self):
+        """One production core: constructing the router dispatches
+        nowhere, and it prices from numpy congestion arrays."""
         _n, _m, _a, rrg, _p, _s = _pair_fixture("xbar")
-        assert isinstance(
-            PathFinderRouter(rrg), VectorizedPathFinderRouter
-        )
-        assert not scalar_router_forced()
-
-    def test_env_escape_hatch_selects_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_ROUTER", "1")
-        _n, _m, _a, rrg, _p, _s = _pair_fixture("xbar")
+        assert "__new__" not in vars(PathFinderRouter)
         router = PathFinderRouter(rrg)
         assert type(router) is PathFinderRouter
-        assert scalar_router_forced()
-
-    def test_explicit_classes_ignore_env(self, monkeypatch):
-        _n, _m, _a, rrg, _p, _s = _pair_fixture("xbar")
-        monkeypatch.setenv("REPRO_SCALAR_ROUTER", "1")
-        assert isinstance(
-            VectorizedPathFinderRouter(rrg),
-            VectorizedPathFinderRouter,
-        )
-        monkeypatch.delenv("REPRO_SCALAR_ROUTER")
-        assert type(ScalarPathFinderRouter(rrg)) is (
-            ScalarPathFinderRouter
-        )
+        assert isinstance(router._hist, np.ndarray)
 
 
 class TestLutEquivalence:
@@ -113,9 +100,9 @@ class TestLutEquivalence:
     def test_untimed(self, family, monkeypatch):
         _n, modes, _arch, rrg, placements, _s = _pair_fixture(family)
         for circuit, placement in zip(modes, placements):
-            monkeypatch.setenv("REPRO_SCALAR_ROUTER", "1")
-            scalar = route_lut_circuit(circuit, placement, rrg)
-            monkeypatch.delenv("REPRO_SCALAR_ROUTER")
+            scalar = _on_scalar(
+                monkeypatch, route_lut_circuit, circuit, placement, rrg
+            )
             vector = route_lut_circuit(circuit, placement, rrg)
             _assert_identical(scalar, vector)
 
@@ -126,11 +113,10 @@ class TestLutEquivalence:
         ).criticality()
         _n, modes, _arch, rrg, placements, _s = _pair_fixture(family)
         for circuit, placement in zip(modes, placements):
-            monkeypatch.setenv("REPRO_SCALAR_ROUTER", "1")
-            scalar = route_lut_circuit(
-                circuit, placement, rrg, timing=timing
+            scalar = _on_scalar(
+                monkeypatch, route_lut_circuit,
+                circuit, placement, rrg, timing=timing,
             )
-            monkeypatch.delenv("REPRO_SCALAR_ROUTER")
             vector = route_lut_circuit(
                 circuit, placement, rrg, timing=timing
             )
@@ -138,8 +124,8 @@ class TestLutEquivalence:
 
     def test_pruned_search_pops_less(self):
         """Single-mode routing keeps its A* weight of 1.0, so only the
-        dead-end pins and dead seeds the vectorized kernels skip
-        separate its pop count from the scalar reference's."""
+        dead-end pins and dead seeds the heap kernels skip separate
+        its pop count from the scalar reference's."""
         _n, modes, _arch, rrg, placements, _s = _pair_fixture("fsm")
         requests = requests_from_connections(
             rrg, lut_circuit_connections(modes[0], placements[0])
@@ -147,9 +133,7 @@ class TestLutEquivalence:
         scalar, vector = RouterStats(), RouterStats()
         _assert_identical(
             ScalarPathFinderRouter(rrg, stats=scalar).route(requests),
-            VectorizedPathFinderRouter(rrg, stats=vector).route(
-                requests
-            ),
+            PathFinderRouter(rrg, stats=vector).route(requests),
         )
         assert vector.searches == scalar.searches > 0
         assert vector.pops < scalar.pops
@@ -167,7 +151,7 @@ class TestTunableEquivalence:
             for f in FAMILIES
         ],
     )
-    def test_troute(self, family):
+    def test_troute(self, family, monkeypatch):
         name, modes, arch, rrg, _p, schedule = _pair_fixture(family)
         tunable, _ = merge_with_combined_placement(
             name, modes, arch,
@@ -178,13 +162,10 @@ class TestTunableEquivalence:
         kwargs = dict(
             net_affinity=0.5, bit_affinity=0.3, sharing_passes=2
         )
-        os.environ["REPRO_SCALAR_ROUTER"] = "1"
-        try:
-            scalar = route_tunable_circuit(
-                rrg, conns, len(modes), **kwargs
-            )
-        finally:
-            os.environ.pop("REPRO_SCALAR_ROUTER", None)
+        scalar = _on_scalar(
+            monkeypatch, route_tunable_circuit,
+            rrg, conns, len(modes), **kwargs,
+        )
         vector = route_tunable_circuit(
             rrg, conns, len(modes), **kwargs
         )
@@ -192,7 +173,7 @@ class TestTunableEquivalence:
 
     def test_pruned_search_pops_less(self):
         """Same searches and routes as the scalar reference, strictly
-        fewer heap pops: the vectorized kernels skip dead-end pins and
+        fewer heap pops: the heap kernels skip dead-end pins and
         dead seeds and, for connections active in every mode, search
         with the exact A* weight.  The weight alone (floor restored on
         an otherwise identical router) moves no route either."""
@@ -214,14 +195,12 @@ class TestTunableEquivalence:
         expected = ScalarPathFinderRouter(
             rrg, stats=scalar, **kwargs
         ).route(requests)
-        _assert_identical(expected, VectorizedPathFinderRouter(
+        _assert_identical(expected, PathFinderRouter(
             rrg, stats=vector, **kwargs
         ).route(requests))
         assert vector.searches == scalar.searches > 0
         assert vector.pops < scalar.pops
-        floor_router = VectorizedPathFinderRouter(
-            rrg, stats=floor, **kwargs
-        )
+        floor_router = PathFinderRouter(rrg, stats=floor, **kwargs)
         assert floor_router._shared_fac > floor_router.astar_fac
         floor_router._shared_fac = floor_router.astar_fac
         _assert_identical(expected, floor_router.route(requests))
@@ -249,7 +228,7 @@ class TestTunableEquivalence:
             rrg, n_modes=2, net_affinity=0.6, bit_affinity=0.4,
             sharing_passes=1,
         ).route(requests)
-        vector = VectorizedPathFinderRouter(
+        vector = PathFinderRouter(
             rrg, n_modes=2, net_affinity=0.6, bit_affinity=0.4,
             sharing_passes=1,
         ).route(requests)
@@ -257,10 +236,10 @@ class TestTunableEquivalence:
 
     def test_constant_pres_fac_history_invalidation(self):
         """With pres_fac_mult=1.0 the present-cost factor never
-        changes, so only the _history_updated hook keeps the price
-        cache from serving vectors built against stale history costs
-        (regression: the cache key alone relied on pres_fac moving
-        with every history bump)."""
+        changes, so only clearing the price cache on every history
+        bump keeps it from serving vectors built against stale history
+        costs (regression: the cache key alone relied on pres_fac
+        moving with every history bump)."""
         from repro.arch.architecture import FpgaArchitecture
         from repro.route.router import RouteRequest
 
@@ -284,7 +263,7 @@ class TestTunableEquivalence:
         kwargs = dict(pres_fac_mult=1.0, pres_fac_first=1.0,
                       acc_fac=2.0, max_iterations=40)
         scalar = ScalarPathFinderRouter(g, **kwargs).route(reqs)
-        vector = VectorizedPathFinderRouter(g, **kwargs).route(reqs)
+        vector = PathFinderRouter(g, **kwargs).route(reqs)
         assert scalar.iterations > 1  # history actually negotiated
         _assert_identical(scalar, vector)
 
@@ -305,6 +284,4 @@ class TestTunableEquivalence:
         with pytest.raises(RoutingError):
             ScalarPathFinderRouter(g, max_iterations=4).route(reqs)
         with pytest.raises(RoutingError):
-            VectorizedPathFinderRouter(
-                g, max_iterations=4
-            ).route(reqs)
+            PathFinderRouter(g, max_iterations=4).route(reqs)

@@ -12,7 +12,6 @@ from repro.route.router import (
     RouteRequest,
     validate_routing,
 )
-from repro.route.vectorized import VectorizedPathFinderRouter
 
 ARCH = FpgaArchitecture(nx=5, ny=5, channel_width=5, fc_in=0.5,
                         fc_out=0.5)
@@ -108,12 +107,12 @@ class TestRouterProperties:
         """Under random history, occupancy, net references and on
         bits, a connection active in every mode prices every edge
         ``u -> v`` at least ``w * (M(u, t) - M(v, t))`` for the
-        vectorized core's shared weight ``w`` (M = Manhattan distance
+        router's shared weight ``w`` (M = Manhattan distance
         to the target): the bound is consistent, so raising the weight
         from the affinity floor cannot move a route."""
         rng = random.Random(seed)
         n_modes = rng.randint(2, 3)
-        router = VectorizedPathFinderRouter(
+        router = PathFinderRouter(
             RRG, n_modes=n_modes, net_affinity=0.5, bit_affinity=0.3
         )
         n = RRG.n_nodes
@@ -133,10 +132,11 @@ class TestRouterProperties:
             0, net, RRG.clb_opin[(1, 1)], target,
             frozenset(range(n_modes)),
         )
-        pn, _pnA, _static, use_bit = router._price_vectors(
+        pn, pnA, static_set = router._price_vectors(
             request, rng.uniform(0.0, 4.0)
         )
-        assert not use_bit  # no bit discount for a shared connection
+        # No bit discount for a shared connection.
+        assert pnA is pn and not static_set
         w = router._shared_fac
         assert w == 0.5 > router.astar_fac
         xs, ys = RRG.node_x, RRG.node_y

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.exec.cache import StageCache
-from repro.route.router import scalar_router_forced
 from repro.utils.disjoint_set import DisjointSet
 from repro.utils.env import env_flag
 from repro.utils.rng import make_rng
@@ -121,15 +120,8 @@ class TestEnvFlag:
 
 
 class TestFlagConsumers:
-    """``=0`` used to switch both flags on (any non-empty string
+    """``=0`` used to switch the flag on (any non-empty string
     did)."""
-
-    @pytest.mark.parametrize(
-        "value, forced", [("0", False), ("false", False), ("1", True)]
-    )
-    def test_scalar_router(self, monkeypatch, value, forced):
-        monkeypatch.setenv("REPRO_SCALAR_ROUTER", value)
-        assert scalar_router_forced() is forced
 
     @pytest.mark.parametrize(
         "value, enabled", [("0", True), ("off", True), ("yes", False)]
@@ -139,9 +131,6 @@ class TestFlagConsumers:
         assert StageCache(tmp_path).enabled is enabled
 
     def test_malformed_values_raise(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SCALAR_ROUTER", "scalar")
-        with pytest.raises(ValueError, match="REPRO_SCALAR_ROUTER"):
-            scalar_router_forced()
         monkeypatch.setenv("REPRO_CACHE_DISABLE", "maybe")
         with pytest.raises(ValueError, match="REPRO_CACHE_DISABLE"):
             StageCache(tmp_path)
