@@ -21,9 +21,8 @@ from repro.core.reconfig import varying_bits
 
 
 @pytest.fixture(scope="module")
-def regexp_pair(harness):
-    pairs = harness.suite_pairs("RegExp")
-    return pairs[0][1]
+def regexp_pair(experiment):
+    return experiment["RegExp"][0].modes
 
 
 @pytest.fixture(scope="module")

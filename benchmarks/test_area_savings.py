@@ -11,14 +11,21 @@ to hold the biggest mode.
 """
 
 from repro.bench.fir import fir_network, fir_coefficients
+from repro.bench.harness import area_table, print_area_table
 from repro.synth.optimize import optimize_network
 from repro.synth.techmap import tech_map
 
 
-def test_area_rows(harness):
-    rows = harness.area_table()
+def _area_rows(spec):
+    return area_table(
+        spec.seeds[0], spec.k, spec.scale, spec.pairs_per_suite
+    )
+
+
+def test_area_rows(spec):
+    rows = _area_rows(spec)
     print()
-    print(harness.print_area_table(rows))
+    print(print_area_table(rows))
     by_suite = {r["suite"]: r for r in rows}
     # ~50% vs static-both for the pairwise suites.
     for suite in ("RegExp", "MCNC"):
@@ -50,6 +57,6 @@ def test_specialised_fir_is_about_3x_smaller(benchmark):
     assert ratio >= 2.0
 
 
-def test_bench_area_aggregation(benchmark, harness):
-    rows = benchmark(harness.area_table)
+def test_bench_area_aggregation(benchmark, spec):
+    rows = benchmark(_area_rows, spec)
     assert len(rows) == 3

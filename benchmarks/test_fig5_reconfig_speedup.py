@@ -17,12 +17,13 @@ flow results; one full DCS flow run is timed separately on the
 smallest pair.
 """
 
+from repro.bench.harness import figure5, print_figure5
 
 
-def test_fig5_rows(harness, experiment):
-    rows = harness.figure5(experiment)
+def test_fig5_rows(records):
+    rows = figure5(records)
     print()
-    print(harness.print_figure5(rows))
+    print(print_figure5(rows))
     for row in rows:
         assert row["min"] > 1.0, row
         assert row["min"] <= row["mean"] <= row["max"]
@@ -39,8 +40,8 @@ def test_fig5_rows(harness, experiment):
         assert 0.3 <= em / wl <= 3.0, (suite, em, wl)
 
 
-def test_bench_fig5_aggregation(benchmark, harness, experiment):
-    rows = benchmark(harness.figure5, experiment)
+def test_bench_fig5_aggregation(benchmark, records):
+    rows = benchmark(figure5, records)
     assert len(rows) == 6
 
 

@@ -14,11 +14,13 @@ shrinks strictly MDR > Diff > ... and DCS achieves a large total
 routing reduction; LUT bits are identical across all three bars.
 """
 
+from repro.bench.harness import figure6, print_figure6
 
-def test_fig6_rows(harness, experiment):
-    rows = harness.figure6(experiment["RegExp"])
+
+def test_fig6_rows(records):
+    rows = figure6(records)
     print()
-    print(harness.print_figure6(rows))
+    print(print_figure6(rows))
     mdr, diff, dcs = rows
     # LUT contribution identical across the three accountings.
     assert mdr["lut_bits"] == diff["lut_bits"] == dcs["lut_bits"]
@@ -32,13 +34,13 @@ def test_fig6_rows(harness, experiment):
     assert mdr["routing_bits"] / dcs["routing_bits"] >= 4.0
 
 
-def test_bench_fig6_aggregation(benchmark, harness, experiment):
-    rows = benchmark(harness.figure6, experiment["RegExp"])
+def test_bench_fig6_aggregation(benchmark, records):
+    rows = benchmark(figure6, records)
     assert len(rows) == 3
 
 
-def test_percentages_normalised_to_mdr(harness, experiment):
-    rows = harness.figure6(experiment["RegExp"])
+def test_percentages_normalised_to_mdr(records):
+    rows = figure6(records)
     mdr = rows[0]
     assert abs(
         mdr["lut_pct_of_mdr"] + mdr["routing_pct_of_mdr"] - 100.0

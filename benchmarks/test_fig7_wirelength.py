@@ -12,12 +12,13 @@ wire-length strategy never does *worse* than edge matching by a large
 factor; the penalty of the wire-length strategy stays moderate.
 """
 
+from repro.bench.harness import figure7, print_figure7
 
 
-def test_fig7_rows(harness, experiment):
-    rows = harness.figure7(experiment)
+def test_fig7_rows(records):
+    rows = figure7(records)
     print()
-    print(harness.print_figure7(rows))
+    print(print_figure7(rows))
     by_key = {(r["suite"], r["variant"]): r for r in rows}
     for suite in ("RegExp", "FIR", "MCNC"):
         em = by_key[(suite, "DCS-Edge matching")]
@@ -31,8 +32,8 @@ def test_fig7_rows(harness, experiment):
         assert wl["mean"] <= 220.0, wl
 
 
-def test_bench_fig7_aggregation(benchmark, harness, experiment):
-    rows = benchmark(harness.figure7, experiment)
+def test_bench_fig7_aggregation(benchmark, records):
+    rows = benchmark(figure7, records)
     assert len(rows) == 6
 
 

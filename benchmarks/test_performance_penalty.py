@@ -15,12 +15,12 @@ from repro.place.timing import dcs_timing, mdr_timing, timing_penalty
 
 
 @pytest.fixture(scope="module")
-def timing_data(harness, experiment):
+def timing_data(experiment):
     rows = []
     for suite, outcomes in experiment.items():
         for outcome in outcomes:
             result = outcome.result
-            pair = dict(harness.suite_pairs(suite))[outcome.name]
+            pair = outcome.modes
             mdr_reports = [
                 mdr_timing(circuit, impl.placement)
                 for circuit, impl in zip(
@@ -72,7 +72,7 @@ def test_wirelength_strategy_at_most_modest_penalty(timing_data):
     assert mean_penalty <= 1.5
 
 
-def test_bench_timing_model(benchmark, harness, experiment):
+def test_bench_timing_model(benchmark, experiment):
     outcome = experiment["RegExp"][0]
     result = outcome.result
     dcs = result.dcs[MergeStrategy.WIRE_LENGTH]

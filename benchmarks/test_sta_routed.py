@@ -20,12 +20,12 @@ from repro.timing import (
 
 
 @pytest.fixture(scope="module")
-def sta_rows(harness, experiment):
+def sta_rows(experiment):
     rows = []
     for suite, outcomes in experiment.items():
         for outcome in outcomes:
             result = outcome.result
-            pair = dict(harness.suite_pairs(suite))[outcome.name]
+            pair = outcome.modes
             mdr_reports = []
             for circuit, impl in zip(
                 pair, result.mdr.implementations

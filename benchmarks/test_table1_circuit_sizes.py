@@ -12,6 +12,7 @@ technology mapping) for one representative circuit of each suite.
 """
 
 from repro.bench.fir import generate_fir_circuit
+from repro.bench.harness import print_table1, table1
 from repro.bench.mcnc import DEFAULT_PROFILES, generate_mcnc_circuit
 from repro.bench.regex import DEFAULT_PATTERNS, compile_regex_circuit
 
@@ -23,10 +24,10 @@ PAPER_WINDOWS = {
 }
 
 
-def test_table1_rows(harness):
-    rows = harness.table1()
+def test_table1_rows(spec):
+    rows = table1(spec.seeds[0], spec.k, spec.scale)
     print()
-    print(harness.print_table1(rows))
+    print(print_table1(rows))
     by_suite = {r["suite"]: r for r in rows}
     for suite, (low, high) in PAPER_WINDOWS.items():
         row = by_suite[suite]

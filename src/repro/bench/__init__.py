@@ -11,8 +11,9 @@ here that produces the same class of LUT circuits from scratch:
 * :mod:`repro.bench.mcnc` — MCNC-class random logic circuits in the
   paper's size window (experiment 3); real MCNC ``.blif`` files can be
   substituted through :mod:`repro.netlist.blif`.
-* :mod:`repro.bench.harness` — suite assembly and the printers that
-  regenerate every table and figure of the evaluation section.
+* :mod:`repro.bench.harness` — every table and figure of the
+  evaluation section as a function of campaign records, plus its
+  printer (``repro experiments``).
 * :mod:`repro.bench.campaign` — declarative sweeps (suites x flow
   variants x seeds) over the workload registry (:mod:`repro.gen`),
   with resumable JSONL record checkpoints, a summary JSON and the CI
@@ -31,11 +32,9 @@ above are registered there alongside the parameterized families
 from repro.bench.fir import generate_fir_circuit
 from repro.bench.mcnc import generate_mcnc_circuit
 from repro.bench.regex import compile_regex_circuit
-from repro.bench.similarity import similarity_report
 
 __all__ = [
     "compile_regex_circuit",
     "generate_fir_circuit",
     "generate_mcnc_circuit",
-    "similarity_report",
 ]

@@ -4,7 +4,7 @@ A campaign is a sweep ``suites x variants x seeds``: every multi-mode
 pair of every selected suite (:mod:`repro.gen.suites`) is implemented
 once per :class:`CampaignVariant` (a ``FlowOptions`` configuration —
 timing-driven on/off, criticality exponents, merge strategies) and per
-seed, fanned out through the :mod:`repro.exec` scheduler and stage
+seed, fanned out through :func:`repro.exec.jobs.run_tasks` and the stage
 cache.  Three artefacts come out:
 
 * a **JSONL results database** — one record per run, deterministic
@@ -57,12 +57,7 @@ from repro.exec.cache import (
 )
 from repro.exec.fingerprint import code_fingerprint, fingerprint
 from repro.exec.progress import ProgressLog, StageRecord, timed_call
-from repro.exec.jobs import (
-    JobGraph,
-    Task,
-    executor_for,
-    resolve_workers,
-)
+from repro.exec.jobs import Task, resolve_workers, run_tasks
 from repro.gen.spec import WorkloadSpec, build_circuit
 from repro.gen.suites import canonical_suite_name, suite_pair_specs
 from repro.netlist.lutcircuit import LutCircuit
@@ -162,17 +157,40 @@ PRESETS: Dict[str, CampaignSpec] = {
         inner_num=0.1,
         variants=(_WIRELENGTH, _TIMING),
     ),
-    # The paper's evaluation as one named campaign (see also
-    # ``repro experiments``, which prints the tables instead).
+    # The paper's evaluation, one preset per ``repro experiments
+    # --effort`` level (that command runs them with one seed and
+    # variant and prints the tables from the records).
     "paper": CampaignSpec(
         name="paper",
         description=(
             "the paper's three suites at full size, wirelength-driven "
-            "(Figs. 5-7 source data as a JSONL database)"
+            "(repro experiments --effort paper)"
         ),
         suites=("regexp", "fir", "mcnc"),
         scale="paper",
         inner_num=1.0,
+    ),
+    "paper-default": CampaignSpec(
+        name="paper-default",
+        description=(
+            "the paper's three suites at default scale, first 4 pairs "
+            "each (repro experiments --effort default)"
+        ),
+        suites=("regexp", "fir", "mcnc"),
+        scale="default",
+        pairs_per_suite=4,
+        inner_num=0.3,
+    ),
+    "paper-quick": CampaignSpec(
+        name="paper-quick",
+        description=(
+            "the paper's three suites at quick scale, first 2 pairs "
+            "each (repro experiments --effort quick)"
+        ),
+        suites=("regexp", "fir", "mcnc"),
+        scale="quick",
+        pairs_per_suite=2,
+        inner_num=0.1,
     ),
     "classic-quick": CampaignSpec(
         name="classic-quick",
@@ -259,7 +277,7 @@ PRESETS: Dict[str, CampaignSpec] = {
 
 
 # ---------------------------------------------------------------------------
-# Per-run execution (scheduler task) and record extraction
+# Per-run execution (one task per run) and record extraction
 # ---------------------------------------------------------------------------
 
 
@@ -316,7 +334,7 @@ def _round(value: float) -> float:
     return round(float(value), 6)
 
 
-def _extract_payload(
+def extract_payload(
     specs: Sequence[WorkloadSpec],
     modes: Sequence,
     result,
@@ -389,7 +407,7 @@ def _campaign_run_worker(
 ) -> Tuple[Dict[str, object], List[StageRecord]]:
     """Implement one (pair, variant, seed) run; returns its payload.
 
-    Scheduler task (runs in workers); the QoR payload is memoized
+    One task of the batch (runs in workers); the QoR payload is memoized
     under the ``campaign`` stage key, so a warm rerun neither builds
     the circuits nor touches the flow.
     """
@@ -411,7 +429,7 @@ def _campaign_run_worker(
             pair_name, modes, options, strategies=strategies,
             workers=1, cache=cache, progress=progress,
         )
-        return _extract_payload(
+        return extract_payload(
             specs, modes, result, options, strategies
         )
 
@@ -617,15 +635,9 @@ def run_campaign(
                 flush=True,
             )
 
-    # The campaign is a direct client of the job-graph core: one
-    # right-sized executor for the batch, jobs awaited in submission
-    # order with the incremental-checkpoint callback.
-    graph = JobGraph(executor_for(workers, len(tasks)))
-    try:
-        jobs = [graph.submit_task(task) for task in tasks]
-        graph.wait(jobs, on_result=on_result)
-    finally:
-        graph.shutdown()
+    # Results arrive in submission order; the callback checkpoints
+    # each record as its prefix completes.
+    run_tasks(tasks, workers, on_result=on_result)
     seconds = time.perf_counter() - start
 
     records = [records_by_key[key] for key in keys]

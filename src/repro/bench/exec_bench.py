@@ -1,6 +1,6 @@
 """Benchmark of the execution subsystem — emits ``BENCH_exec.json``.
 
-The default workload is the harness's FIR suite shape: *n*
+The default workload is the paper's FIR suite shape: *n*
 independent two-mode FIR pairs (the paper pairs low-pass *i* with
 high-pass *i*), each an independent synth→place→route run;
 ``--workload`` swaps in any registered suite of :mod:`repro.gen`
@@ -35,12 +35,17 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.fir import generate_fir_circuit
-from repro.core.flow import FlowOptions
+from repro.core.flow import (
+    FlowOptions,
+    MultiModeResult,
+    implement_multi_mode,
+    pack_result,
+    unpack_result,
+)
 from repro.exec.cache import StageCache
-from repro.exec.progress import ProgressLog
-from repro.exec.scheduler import Scheduler, Task
-from repro.bench.harness import _pair_worker
-from repro.core.flow import unpack_result
+from repro.exec.jobs import Task, run_tasks
+from repro.exec.progress import ProgressLog, StageRecord
+from repro.netlist.lutcircuit import LutCircuit
 
 #: v3: adds the ``router_vectorized`` phase (scalar vs vectorized
 #: PathFinder core A/B on the routing phase).
@@ -83,7 +88,7 @@ def _fir_pair_workload(
 
     The default 4-tap filters keep one full bench run (serial +
     parallel + warm) in the minutes range; ``--taps 8`` reproduces the
-    harness's full-size filters.
+    FIR suite's full-size filters.
     """
     pairs = []
     for i in range(n_pairs):
@@ -99,6 +104,37 @@ def _fir_pair_workload(
     return pairs
 
 
+def _pair_worker(
+    name: str,
+    mode_circuits: Tuple[LutCircuit, ...],
+    options: FlowOptions,
+    cache_root: Optional[str],
+    cache_enabled: bool,
+) -> Tuple[MultiModeResult, List[StageRecord]]:
+    """Implement one multi-mode pair (one task; runs in workers).
+
+    Pairs fan out at this granularity, so within one pair the flow runs
+    serially (``workers=1``) — the bench never nests process pools.
+    The result travels back RRG-free; the parent reattaches the graph.
+    """
+    cache = StageCache(cache_root, enabled=cache_enabled)
+    progress = ProgressLog()
+    start = time.perf_counter()
+    result = implement_multi_mode(
+        name, mode_circuits, options, workers=1,
+        cache=cache, progress=progress,
+    )
+    records = list(progress.records)
+    if not any(r.stage == "multimode" for r in records):
+        records.append(
+            StageRecord(
+                "multimode", name,
+                time.perf_counter() - start, cache_hit=False,
+            )
+        )
+    return pack_result(result), records
+
+
 def _run_workload(
     pairs: List[Tuple[str, tuple]],
     options: FlowOptions,
@@ -106,7 +142,6 @@ def _run_workload(
     cache: StageCache,
 ) -> Tuple[float, ProgressLog, List[float], list]:
     """(wall seconds, merged progress, cost signature, results)."""
-    scheduler = Scheduler(workers)
     progress = ProgressLog()
     cache_root = str(cache.root) if cache.enabled else None
     tasks = [
@@ -115,7 +150,7 @@ def _run_workload(
         for name, modes in pairs
     ]
     start = time.perf_counter()
-    outcomes = scheduler.run(tasks)
+    outcomes = run_tasks(tasks, workers)
     elapsed = time.perf_counter() - start
     signature = []
     results = []

@@ -1,129 +1,85 @@
-"""Experiment harness: regenerate every table and figure of the paper.
+"""The paper's tables and figures as pure functions of campaign records.
 
-The evaluation section has four artefacts, each with a method here:
+``repro experiments`` runs the evaluation sweep as a campaign
+(:func:`experiment_spec` maps an effort level to its preset) and prints
+every artefact of the evaluation section from the run records:
 
-* **Table I** — min/avg/max LUT counts per suite
-  (:meth:`ExperimentHarness.table1`).
+* **Table I** — min/avg/max LUT counts per suite (:func:`table1`).
 * **Fig. 5** — reconfiguration speed-up of DCS (edge matching / wire
   length) over MDR, averaged per suite with min/max error bars
-  (:meth:`ExperimentHarness.figure5`).
+  (:func:`figure5`).
 * **Fig. 6** — relative contribution of LUT and routing bits for
-  RegExp-MDR / RegExp-Diff / RegExp-DCS
-  (:meth:`ExperimentHarness.figure6`).
-* **Fig. 7** — per-mode wire usage relative to MDR
-  (:meth:`ExperimentHarness.figure7`).
+  RegExp-MDR / RegExp-Diff / RegExp-DCS (:func:`figure6`).
+* **Fig. 7** — per-mode wire usage relative to MDR (:func:`figure7`).
 * **Section IV-C area paragraph** — area of the multi-mode
   implementation relative to static implementations
-  (:meth:`ExperimentHarness.area_table`).
+  (:func:`area_table`).
+* Two extensions: the routed critical-path penalty
+  (:func:`sta_table`) and per-mode Fmax (:func:`fmax_table`).
 
-Effort profiles trade fidelity for runtime: ``paper`` runs the full 10
-pairs per suite with VPR-strength annealing; ``default`` and ``quick``
-run calibrated subsets through the *identical code path* (EXPERIMENTS.md
-records results per profile).
+Table I and the area table describe circuits, not runs: they rebuild
+the suites from the workload registry (:mod:`repro.gen.suites`).
+Every other table reads only record fields, so each number traces back
+to a JSONL record.  The record functions expect the records of one
+variant and seed, in campaign grid order (suite, then pair).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.bench.campaign import PRESETS, CampaignSpec, CampaignVariant
 from repro.bench.fir import generate_fir_circuit
-from repro.core.flow import (
-    FlowOptions,
-    MultiModeResult,
-    implement_multi_mode,
-    pack_result,
-    unpack_result,
-)
 from repro.core.merge import MergeStrategy
-from repro.exec.cache import StageCache
-from repro.exec.progress import ProgressLog, StageRecord
-from repro.exec.scheduler import Scheduler, Task
-from repro.gen.spec import WorkloadSpec
-from repro.gen.suites import suite_pair_specs
-from repro.netlist.lutcircuit import LutCircuit
+from repro.gen.spec import build_circuit
+from repro.gen.suites import SUITE_ALIASES, suite_pair_specs, suite_pairs
 
 SUITES = ("RegExp", "FIR", "MCNC")
 
-
-def _pair_worker(
-    name: str,
-    mode_circuits: Tuple[LutCircuit, ...],
-    options: FlowOptions,
-    cache_root: Optional[str],
-    cache_enabled: bool,
-) -> Tuple[MultiModeResult, List[StageRecord]]:
-    """Implement one multi-mode pair (scheduler task; runs in workers).
-
-    Pairs fan out at this granularity, so within one pair the flow runs
-    serially (``workers=1``) — the harness never nests process pools.
-    The result travels back RRG-free; the parent reattaches the graph.
-    """
-    import time
-
-    cache = StageCache(cache_root, enabled=cache_enabled)
-    progress = ProgressLog()
-    start = time.perf_counter()
-    result = implement_multi_mode(
-        name, mode_circuits, options, workers=1,
-        cache=cache, progress=progress,
-    )
-    records = list(progress.records)
-    if not any(r.stage == "multimode" for r in records):
-        records.append(
-            StageRecord(
-                "multimode", name,
-                time.perf_counter() - start, cache_hit=False,
-            )
-        )
-    return pack_result(result), records
-
-
-@dataclass(frozen=True)
-class EffortProfile:
-    """Runtime/fidelity trade-off of one harness run.
-
-    Suite sizing lives in the workload registry
-    (:data:`repro.gen.suites.SCALES`): ``scale`` names the registry
-    scale the profile draws from, defaulting to the profile's own
-    name for the built-in profiles.  Custom profiles (e.g. the
-    benchmark suite's ``bench``) pick any registered scale explicitly
-    and trim with ``pairs_per_suite``.
-    """
-
-    name: str
-    pairs_per_suite: Optional[int]  # None = all pairs
-    inner_num: float
-    scale: Optional[str] = None  # None = same as `name`
-
-    @property
-    def workload_scale(self) -> str:
-        return self.scale or self.name
-
-    def flow_options(self, seed: int) -> FlowOptions:
-        return FlowOptions(seed=seed, inner_num=self.inner_num)
-
-
-EFFORT_PROFILES = {
-    "quick": EffortProfile("quick", 2, 0.1),
-    "default": EffortProfile("default", 4, 0.3),
-    "paper": EffortProfile("paper", None, 1.0),
+#: ``repro experiments --effort`` -> the campaign preset it runs.
+EFFORT_PRESETS = {
+    "quick": "paper-quick",
+    "default": "paper-default",
+    "paper": "paper",
 }
 
+_LABELS = {name: label for label, name in SUITE_ALIASES.items()}
 
-@dataclass
-class PairOutcome:
-    """All metrics of one multi-mode circuit."""
+_STRATEGIES = (
+    (MergeStrategy.EDGE_MATCHING, "DCS-Edge matching"),
+    (MergeStrategy.WIRE_LENGTH, "DCS-Wire length"),
+)
 
-    suite: str
-    name: str
-    result: MultiModeResult
+Record = Dict[str, object]
 
-    def speedup(self, strategy: MergeStrategy) -> float:
-        return self.result.speedup(strategy)
 
-    def wirelength_ratio(self, strategy: MergeStrategy) -> float:
-        return self.result.wirelength_ratio(strategy)
+def experiment_spec(
+    effort: str,
+    seed: int = 0,
+    timing_driven: bool = False,
+    criticality_exponent: float = 1.0,
+    timing_tradeoff: float = 0.5,
+) -> CampaignSpec:
+    """The campaign ``repro experiments --effort`` runs.
+
+    The effort's preset with one seed and one variant: ``wirelength``,
+    or ``timing`` when *timing_driven*.
+    """
+    if effort not in EFFORT_PRESETS:
+        raise ValueError(
+            f"effort must be one of {sorted(EFFORT_PRESETS)}"
+        )
+    variant = CampaignVariant(
+        "timing" if timing_driven else "wirelength",
+        timing_driven=timing_driven,
+        criticality_exponent=criticality_exponent,
+        timing_tradeoff=timing_tradeoff,
+    )
+    return replace(
+        PRESETS[EFFORT_PRESETS[effort]],
+        seeds=(seed,), variants=(variant,),
+    )
 
 
 def _aggregate(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -131,546 +87,350 @@ def _aggregate(values: Sequence[float]) -> Tuple[float, float, float]:
     return (min(values), sum(values) / len(values), max(values))
 
 
-class ExperimentHarness:
-    """Builds the suites and runs the paper's experiments."""
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
 
-    def __init__(self, effort: str = "quick", seed: int = 0,
-                 k: int = 4, workers: Optional[int] = None,
-                 cache: Optional[StageCache] = None,
-                 progress: Optional[ProgressLog] = None,
-                 timing_driven: bool = False) -> None:
-        if effort not in EFFORT_PROFILES:
-            raise ValueError(
-                f"effort must be one of {sorted(EFFORT_PROFILES)}"
+
+def _label(suite: str) -> str:
+    """The paper's spelling of a registry suite name."""
+    return _LABELS.get(suite, suite)
+
+
+def _by_suite(records: Sequence[Record]) -> Dict[str, List[Record]]:
+    """Records grouped by suite, in first-appearance order."""
+    groups: Dict[str, List[Record]] = {}
+    for record in records:
+        groups.setdefault(record["suite"], []).append(record)
+    return groups
+
+
+def _spread_rows(
+    records: Sequence[Record], metric
+) -> List[Dict[str, object]]:
+    """min/mean/max of ``metric(record, strategy)`` per suite and
+    merge strategy (the Fig. 5 / Fig. 7 / STA row shape)."""
+    rows = []
+    for suite, runs in _by_suite(records).items():
+        for strategy, label in _STRATEGIES:
+            low, mean, high = _aggregate(
+                [metric(r, strategy.value) for r in runs]
             )
-        self.profile = EFFORT_PROFILES[effort]
-        self.seed = seed
-        self.k = k
-        #: Thread the criticality model through every pair's placement
-        #: and routing (see repro.timing.criticality); the timing-driven
-        #: and wirelength-driven runs memoize under distinct cache keys.
-        self.timing_driven = timing_driven
-        self.scheduler = Scheduler(workers)
-        self.cache = cache or StageCache(enabled=False)
-        self.progress = progress or ProgressLog()
-        self._spec_cache: Dict[WorkloadSpec, LutCircuit] = {}
-        self._suite_cache: Dict[str, List[LutCircuit]] = {}
-        self._outcome_cache: Dict[str, List[PairOutcome]] = {}
-
-    # -- suite assembly ---------------------------------------------------
-    #
-    # Workloads come from the suite registry (repro.gen.suites): the
-    # effort profile's name doubles as the registry scale, so the
-    # harness, the campaign runner and bench-exec all draw identical
-    # circuits for identical (suite, seed, k, scale) requests.
-
-    def _build(self, spec: WorkloadSpec) -> LutCircuit:
-        """Materialise *spec* once per harness instance."""
-        if spec not in self._spec_cache:
-            self._spec_cache[spec] = spec.build()
-        return self._spec_cache[spec]
-
-    def _mode_specs(self, suite: str) -> List[WorkloadSpec]:
-        """Unique mode specs of *suite*, in first-appearance order
-        (untruncated: Table I and the area table describe the whole
-        suite, not the effort profile's pair subset)."""
-        seen: Dict[WorkloadSpec, None] = {}
-        for _name, specs in suite_pair_specs(
-            suite, seed=self.seed, k=self.k,
-            scale=self.profile.workload_scale,
-        ):
-            for spec in specs:
-                seen.setdefault(spec)
-        return list(seen)
-
-    def regexp_circuits(self) -> List[LutCircuit]:
-        """The five compiled regex engines (experiment 1)."""
-        if "RegExp" not in self._suite_cache:
-            self._suite_cache["RegExp"] = [
-                self._build(spec)
-                for spec in self._mode_specs("RegExp")
-            ]
-        return self._suite_cache["RegExp"]
-
-    def fir_circuits(self) -> Tuple[List[LutCircuit], List[LutCircuit]]:
-        """Low-pass and high-pass filter banks (experiment 2)."""
-        specs = self._mode_specs("FIR")
-        lowpass = [
-            self._build(s) for s in specs
-            if s.param("filter") == "lowpass"
-        ]
-        highpass = [
-            self._build(s) for s in specs
-            if s.param("filter") == "highpass"
-        ]
-        return lowpass, highpass
-
-    def mcnc_circuits(self) -> List[LutCircuit]:
-        """The five MCNC-class circuits (experiment 3)."""
-        if "MCNC" not in self._suite_cache:
-            self._suite_cache["MCNC"] = [
-                self._build(spec)
-                for spec in self._mode_specs("MCNC")
-            ]
-        return self._suite_cache["MCNC"]
-
-    def suite_pairs(self, suite: str) -> List[Tuple[str, List[LutCircuit]]]:
-        """The multi-mode circuits (mode pairs) of one suite.
-
-        Pair structure comes from the registry: RegExp and MCNC take
-        all C(5,2)=10 combinations of their five circuits; FIR pairs
-        low-pass *i* with high-pass *i* (10 pairs in the paper).
-        Effort profiles truncate the list and set the scale.
-        """
-        pairs = suite_pair_specs(
-            suite, seed=self.seed, k=self.k,
-            scale=self.profile.workload_scale,
-            limit=self.profile.pairs_per_suite,
-        )
-        return [
-            (name, [self._build(spec) for spec in specs])
-            for name, specs in pairs
-        ]
-
-    # -- experiment execution ------------------------------------------------
-
-    def run_suite(self, suite: str,
-                  verbose: bool = False) -> List[PairOutcome]:
-        """Implement every multi-mode circuit of *suite* with both
-        flows; results are cached per harness instance."""
-        return self.run_suites([suite], verbose=verbose)[suite]
-
-    def run_suites(
-        self, suites: Sequence[str], verbose: bool = False
-    ) -> Dict[str, List[PairOutcome]]:
-        """Implement the pairs of several suites as one task batch.
-
-        Every (suite, pair) is an independent flow run, so the whole
-        cross-suite workload fans out over the harness scheduler at
-        once — with ``workers=N`` the slowest suite no longer gates
-        the others.  Results come back in deterministic (submission)
-        order whatever the completion order was.
-        """
-        pending = [s for s in suites if s not in self._outcome_cache]
-        workload: List[Tuple[str, str, List[LutCircuit]]] = []
-        for suite in pending:
-            for name, modes in self.suite_pairs(suite):
-                workload.append((suite, name, modes))
-        options = replace(
-            self.profile.flow_options(self.seed),
-            timing_driven=self.timing_driven,
-        )
-        cache_root = (
-            str(self.cache.root) if self.cache.enabled else None
-        )
-        tasks = [
-            Task(
-                _pair_worker,
-                (
-                    name, tuple(modes), options,
-                    cache_root, self.cache.enabled,
-                ),
-                name=f"{suite}/{name}",
-            )
-            for suite, name, modes in workload
-        ]
-        results = self.scheduler.run(tasks)
-        by_suite: Dict[str, List[PairOutcome]] = {
-            suite: [] for suite in pending
-        }
-        for (suite, name, _modes), (packed, records) in zip(
-            workload, results
-        ):
-            self.progress.extend(records)
-            result = unpack_result(packed)
-            by_suite[suite].append(PairOutcome(suite, name, result))
-            if verbose:
-                em = result.speedup(MergeStrategy.EDGE_MATCHING)
-                wl = result.speedup(MergeStrategy.WIRE_LENGTH)
-                print(
-                    f"  {name}: speedup EM {em:.2f}x WL {wl:.2f}x"
-                )
-        self._outcome_cache.update(by_suite)
-        return {
-            suite: self._outcome_cache[suite] for suite in suites
-        }
-
-    # -- Table I --------------------------------------------------------------
-
-    def table1(self) -> List[Dict[str, object]]:
-        """Size of the LUT circuits used in the experiments."""
-        rows = []
-        suite_circuits = {
-            "RegExp": self.regexp_circuits(),
-            "FIR": [c for bank in self.fir_circuits() for c in bank],
-            "MCNC": self.mcnc_circuits(),
-        }
-        for suite, circuits in suite_circuits.items():
-            sizes = [c.n_luts() for c in circuits]
-            low, mean, high = _aggregate([float(s) for s in sizes])
             rows.append({
-                "suite": suite,
-                "minimum": int(low),
-                "average": round(mean),
-                "maximum": int(high),
+                "suite": _label(suite),
+                "variant": label,
+                "min": low,
+                "mean": mean,
+                "max": high,
             })
-        return rows
+    return rows
 
-    @staticmethod
-    def print_table1(rows: Sequence[Dict[str, object]]) -> str:
-        lines = ["TABLE I: Size of the LUT circuits (4-LUT count)",
-                 f"{'':8s} {'Minimum':>8s} {'Average':>8s} "
-                 f"{'Maximum':>8s}"]
-        for row in rows:
-            lines.append(
-                f"{row['suite']:8s} {row['minimum']:8d} "
-                f"{row['average']:8d} {row['maximum']:8d}"
+
+# -- Table I ------------------------------------------------------------------
+
+
+def table1(seed: int, k: int, scale: str) -> List[Dict[str, object]]:
+    """Size of the LUT circuits used in the experiments.
+
+    Every mode circuit of each suite counts, not only the pairs a
+    campaign truncates to.
+    """
+    rows = []
+    for suite in SUITES:
+        specs = dict.fromkeys(
+            spec
+            for _name, pair in suite_pair_specs(
+                suite, seed=seed, k=k, scale=scale
             )
-        return "\n".join(lines)
-
-    # -- Fig. 5 ---------------------------------------------------------------
-
-    def figure5(
-        self, outcomes_by_suite: Dict[str, List[PairOutcome]]
-    ) -> List[Dict[str, object]]:
-        """Reconfiguration speed-up of DCS relative to MDR."""
-        rows = []
-        for suite, outcomes in outcomes_by_suite.items():
-            for strategy, label in (
-                (MergeStrategy.EDGE_MATCHING, "DCS-Edge matching"),
-                (MergeStrategy.WIRE_LENGTH, "DCS-Wire length"),
-            ):
-                values = [o.speedup(strategy) for o in outcomes]
-                low, mean, high = _aggregate(values)
-                rows.append({
-                    "suite": suite,
-                    "variant": label,
-                    "min": low,
-                    "mean": mean,
-                    "max": high,
-                })
-        return rows
-
-    @staticmethod
-    def print_figure5(rows: Sequence[Dict[str, object]]) -> str:
-        lines = [
-            "Fig. 5: Reconfiguration speed up of DCS compared to MDR",
-            f"{'suite':8s} {'variant':20s} "
-            f"{'mean':>6s} {'min':>6s} {'max':>6s}",
-            f"{'(all)':8s} {'MDR (base)':20s} "
-            f"{1.0:6.2f} {1.0:6.2f} {1.0:6.2f}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['suite']:8s} {row['variant']:20s} "
-                f"{row['mean']:6.2f} {row['min']:6.2f} "
-                f"{row['max']:6.2f}"
-            )
-        return "\n".join(lines)
-
-    # -- Fig. 6 ---------------------------------------------------------------
-
-    def figure6(
-        self, regexp_outcomes: Sequence[PairOutcome]
-    ) -> List[Dict[str, object]]:
-        """LUT/routing breakdown for RegExp-MDR / -Diff / -DCS.
-
-        Bits are averaged over the suite's multi-mode circuits and
-        normalised to the MDR total (the MDR bar is 100%).
-        """
-        mdr_lut = _mean(
-            [o.result.mdr.cost.lut_bits for o in regexp_outcomes]
+            for spec in pair
         )
-        mdr_route = _mean(
-            [o.result.mdr.cost.routing_bits for o in regexp_outcomes]
-        )
-        diff_route = _mean(
-            [o.result.mdr.diff.routing_bits for o in regexp_outcomes]
-        )
-        dcs_route = _mean(
-            [
-                o.result.dcs[MergeStrategy.WIRE_LENGTH]
-                .cost.routing_bits
-                for o in regexp_outcomes
-            ]
-        )
-        total = mdr_lut + mdr_route
-        rows = []
-        for label, lut, route in (
-            ("RegExp-MDR", mdr_lut, mdr_route),
-            ("RegExp-Diff", mdr_lut, diff_route),
-            ("RegExp-DCS", mdr_lut, dcs_route),
-        ):
-            rows.append({
-                "label": label,
-                "lut_bits": lut,
-                "routing_bits": route,
-                "lut_pct_of_mdr": 100.0 * lut / total,
-                "routing_pct_of_mdr": 100.0 * route / total,
-            })
-        return rows
-
-    @staticmethod
-    def print_figure6(rows: Sequence[Dict[str, object]]) -> str:
-        lines = [
-            "Fig. 6: Relative contribution of LUTs and routing in "
-            "reconfiguration time (MDR total = 100%)",
-            f"{'variant':14s} {'LUT %':>8s} {'routing %':>10s}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['label']:14s} {row['lut_pct_of_mdr']:8.1f} "
-                f"{row['routing_pct_of_mdr']:10.1f}"
-            )
-        mdr_route = rows[0]["routing_pct_of_mdr"]
-        diff_route = rows[1]["routing_pct_of_mdr"]
-        dcs_route = rows[2]["routing_pct_of_mdr"]
-        if dcs_route > 0 and diff_route > 0:
-            lines.append(
-                "routing reduction: region effect "
-                f"{mdr_route / diff_route:.1f}x, merge effect "
-                f"{diff_route / dcs_route:.1f}x, combined "
-                f"{mdr_route / dcs_route:.1f}x"
-            )
-        return "\n".join(lines)
-
-    # -- Fig. 7 ---------------------------------------------------------------
-
-    def figure7(
-        self, outcomes_by_suite: Dict[str, List[PairOutcome]]
-    ) -> List[Dict[str, object]]:
-        """Per-mode wire usage relative to MDR (percent)."""
-        rows = []
-        for suite, outcomes in outcomes_by_suite.items():
-            for strategy, label in (
-                (MergeStrategy.EDGE_MATCHING, "DCS-Edge matching"),
-                (MergeStrategy.WIRE_LENGTH, "DCS-Wire length"),
-            ):
-                ratios = [
-                    100.0 * o.wirelength_ratio(strategy)
-                    for o in outcomes
-                ]
-                low, mean, high = _aggregate(ratios)
-                rows.append({
-                    "suite": suite,
-                    "variant": label,
-                    "min": low,
-                    "mean": mean,
-                    "max": high,
-                })
-        return rows
-
-    @staticmethod
-    def print_figure7(rows: Sequence[Dict[str, object]]) -> str:
-        lines = [
-            "Fig. 7: Number of wires relative to MDR (percent)",
-            f"{'suite':8s} {'variant':20s} "
-            f"{'mean':>7s} {'min':>7s} {'max':>7s}",
-            f"{'(all)':8s} {'MDR (base)':20s} "
-            f"{100.0:7.1f} {100.0:7.1f} {100.0:7.1f}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['suite']:8s} {row['variant']:20s} "
-                f"{row['mean']:7.1f} {row['min']:7.1f} "
-                f"{row['max']:7.1f}"
-            )
-        return "\n".join(lines)
-
-    # -- Section IV-C: area ---------------------------------------------------
-
-    def area_table(self) -> List[Dict[str, object]]:
-        """Area of the multi-mode region vs static implementations.
-
-        RegExp/MCNC: the region holds the biggest mode, so area
-        relative to implementing both modes statically is
-        ``max(a, b) / (a + b)`` (about 50% for similar sizes).
-        FIR: the specialised filters are compared against one *generic*
-        FIR (the paper's 33% figure), since a generic filter can play
-        both modes by reloading coefficients.
-        """
-        rows = []
-        for suite in ("RegExp", "MCNC"):
-            ratios = []
-            for _name, modes in self.suite_pairs(suite):
-                sizes = [c.n_luts() for c in modes]
-                ratios.append(max(sizes) / sum(sizes))
-            low, mean, high = _aggregate(ratios)
-            rows.append({
-                "suite": suite,
-                "baseline": "static both modes",
-                "area_pct": 100.0 * mean,
-                "min": 100.0 * low,
-                "max": 100.0 * high,
-            })
-        # FIR vs generic filter.
-        generic = generate_fir_circuit(
-            "lowpass", seed=self.seed, k=self.k, generic=True,
-            name="fir_generic",
-        )
-        ratios = []
-        for _name, modes in self.suite_pairs("FIR"):
-            biggest = max(c.n_luts() for c in modes)
-            ratios.append(biggest / generic.n_luts())
-        low, mean, high = _aggregate(ratios)
+        sizes = [float(build_circuit(s).n_luts()) for s in specs]
+        low, mean, high = _aggregate(sizes)
         rows.append({
-            "suite": "FIR",
-            "baseline": "generic FIR filter",
+            "suite": suite,
+            "minimum": int(low),
+            "average": round(mean),
+            "maximum": int(high),
+        })
+    return rows
+
+
+def print_table1(rows: Sequence[Dict[str, object]]) -> str:
+    lines = ["TABLE I: Size of the LUT circuits (4-LUT count)",
+             f"{'':8s} {'Minimum':>8s} {'Average':>8s} "
+             f"{'Maximum':>8s}"]
+    for row in rows:
+        lines.append(
+            f"{row['suite']:8s} {row['minimum']:8d} "
+            f"{row['average']:8d} {row['maximum']:8d}"
+        )
+    return "\n".join(lines)
+
+
+# -- Fig. 5 -------------------------------------------------------------------
+
+
+def figure5(records: Sequence[Record]) -> List[Dict[str, object]]:
+    """Reconfiguration speed-up of DCS relative to MDR."""
+    return _spread_rows(
+        records,
+        lambda r, s: r["mdr"]["total_bits"] / r["dcs"][s]["total_bits"],
+    )
+
+
+def print_figure5(rows: Sequence[Dict[str, object]]) -> str:
+    lines = [
+        "Fig. 5: Reconfiguration speed up of DCS compared to MDR",
+        f"{'suite':8s} {'variant':20s} "
+        f"{'mean':>6s} {'min':>6s} {'max':>6s}",
+        f"{'(all)':8s} {'MDR (base)':20s} "
+        f"{1.0:6.2f} {1.0:6.2f} {1.0:6.2f}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['suite']:8s} {row['variant']:20s} "
+            f"{row['mean']:6.2f} {row['min']:6.2f} "
+            f"{row['max']:6.2f}"
+        )
+    return "\n".join(lines)
+
+
+# -- Fig. 6 -------------------------------------------------------------------
+
+
+def figure6(records: Sequence[Record]) -> List[Dict[str, object]]:
+    """LUT/routing breakdown for RegExp-MDR / -Diff / -DCS.
+
+    Bits are averaged over the RegExp records and normalised to the
+    MDR total (the MDR bar is 100%).
+    """
+    runs = [r for r in records if r["suite"] == "regexp"]
+    mdr_lut = _mean(
+        [r["mdr"]["total_bits"] - r["mdr"]["routing_bits"] for r in runs]
+    )
+    mdr_route = _mean([r["mdr"]["routing_bits"] for r in runs])
+    diff_route = _mean([r["mdr"]["diff_routing_bits"] for r in runs])
+    dcs_route = _mean(
+        [r["dcs"]["wire_length"]["routing_bits"] for r in runs]
+    )
+    total = mdr_lut + mdr_route
+    rows = []
+    for bar, lut, route in (
+        ("MDR", mdr_lut, mdr_route),
+        ("Diff", mdr_lut, diff_route),
+        ("DCS", mdr_lut, dcs_route),
+    ):
+        rows.append({
+            "label": f"RegExp-{bar}",
+            "lut_bits": lut,
+            "routing_bits": route,
+            "lut_pct_of_mdr": 100.0 * lut / total,
+            "routing_pct_of_mdr": 100.0 * route / total,
+        })
+    return rows
+
+
+def print_figure6(rows: Sequence[Dict[str, object]]) -> str:
+    lines = [
+        "Fig. 6: Relative contribution of LUTs and routing in "
+        "reconfiguration time (MDR total = 100%)",
+        f"{'variant':14s} {'LUT %':>8s} {'routing %':>10s}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['label']:14s} {row['lut_pct_of_mdr']:8.1f} "
+            f"{row['routing_pct_of_mdr']:10.1f}"
+        )
+    mdr_route = rows[0]["routing_pct_of_mdr"]
+    diff_route = rows[1]["routing_pct_of_mdr"]
+    dcs_route = rows[2]["routing_pct_of_mdr"]
+    if dcs_route > 0 and diff_route > 0:
+        lines.append(
+            "routing reduction: region effect "
+            f"{mdr_route / diff_route:.1f}x, merge effect "
+            f"{diff_route / dcs_route:.1f}x, combined "
+            f"{mdr_route / dcs_route:.1f}x"
+        )
+    return "\n".join(lines)
+
+
+# -- Fig. 7 -------------------------------------------------------------------
+
+
+def _wirelength_ratio(record: Record, strategy: str) -> float:
+    """``MultiModeResult.wirelength_ratio`` from a record's per-mode
+    wire counts (same expression, so the same float)."""
+    mdr = record["mdr"]["wirelength"]
+    dcs = record["dcs"][strategy]["wirelength"]
+    return (sum(dcs) / len(dcs)) / (sum(mdr) / len(mdr))
+
+
+def figure7(records: Sequence[Record]) -> List[Dict[str, object]]:
+    """Per-mode wire usage relative to MDR (percent)."""
+    return _spread_rows(
+        records, lambda r, s: 100.0 * _wirelength_ratio(r, s)
+    )
+
+
+def print_figure7(rows: Sequence[Dict[str, object]]) -> str:
+    lines = [
+        "Fig. 7: Number of wires relative to MDR (percent)",
+        f"{'suite':8s} {'variant':20s} "
+        f"{'mean':>7s} {'min':>7s} {'max':>7s}",
+        f"{'(all)':8s} {'MDR (base)':20s} "
+        f"{100.0:7.1f} {100.0:7.1f} {100.0:7.1f}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['suite']:8s} {row['variant']:20s} "
+            f"{row['mean']:7.1f} {row['min']:7.1f} "
+            f"{row['max']:7.1f}"
+        )
+    return "\n".join(lines)
+
+
+# -- Section IV-C: area -------------------------------------------------------
+
+
+def area_table(
+    seed: int, k: int, scale: str, limit: Optional[int]
+) -> List[Dict[str, object]]:
+    """Area of the multi-mode region vs static implementations.
+
+    RegExp/MCNC: the region holds the biggest mode, so area
+    relative to implementing both modes statically is
+    ``max(a, b) / (a + b)`` (about 50% for similar sizes).
+    FIR: the specialised filters are compared against one *generic*
+    FIR (the paper's 33% figure), since a generic filter can play
+    both modes by reloading coefficients.  *limit* truncates every
+    suite to its first pairs, like the campaign's pair limit.
+    """
+    def pair_sizes(suite: str) -> List[List[int]]:
+        return [
+            [c.n_luts() for c in modes]
+            for _name, modes in suite_pairs(
+                suite, seed=seed, k=k, scale=scale, limit=limit
+            )
+        ]
+
+    def row(suite: str, baseline: str, ratios: List[float]):
+        low, mean, high = _aggregate(ratios)
+        return {
+            "suite": suite,
+            "baseline": baseline,
             "area_pct": 100.0 * mean,
             "min": 100.0 * low,
             "max": 100.0 * high,
-        })
-        return rows
-
-    @staticmethod
-    def print_area_table(rows: Sequence[Dict[str, object]]) -> str:
-        lines = [
-            "Section IV-C: multi-mode area relative to baseline",
-            f"{'suite':8s} {'baseline':22s} "
-            f"{'area %':>7s} {'min':>6s} {'max':>6s}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['suite']:8s} {row['baseline']:22s} "
-                f"{row['area_pct']:7.1f} {row['min']:6.1f} "
-                f"{row['max']:6.1f}"
-            )
-        return "\n".join(lines)
-
-    # -- extension: routed timing (abstract's performance claim) --------------
-
-    def sta_table(
-        self, outcomes_by_suite: Dict[str, List[PairOutcome]]
-    ) -> List[Dict[str, object]]:
-        """Per-mode routed critical-path penalty of DCS vs MDR.
-
-        An extension beyond the paper's wire-length argument: static
-        timing analysis on the actual routed paths of both flows
-        ("without significant performance penalties", checked).
-        """
-        rows = []
-        for suite, outcomes in outcomes_by_suite.items():
-            for strategy, label in (
-                (MergeStrategy.EDGE_MATCHING, "DCS-Edge matching"),
-                (MergeStrategy.WIRE_LENGTH, "DCS-Wire length"),
-            ):
-                ratios = [
-                    o.result.mean_frequency_ratio(strategy)
-                    for o in outcomes
-                ]
-                low, mean, high = _aggregate(ratios)
-                rows.append({
-                    "suite": suite,
-                    "variant": label,
-                    "min": low,
-                    "mean": mean,
-                    "max": high,
-                })
-        return rows
-
-    # -- extension: per-mode Fmax (the paper's speed comparison) --------------
-
-    def fmax_table(
-        self, outcomes_by_suite: Dict[str, List[PairOutcome]]
-    ) -> List[Dict[str, object]]:
-        """Per-mode Fmax of both flows and the MDR:DCS frequency ratio.
-
-        The paper's headline comparison is achievable clock frequency;
-        this reports, per suite and merge strategy, the mean per-mode
-        Fmax of the separate (MDR) and merged (DCS) implementations
-        plus min/mean/max of the per-mode MDR:DCS frequency ratio
-        (1.0 = the merged circuit clocks exactly as fast).
-        """
-        from repro.timing import timing_comparison
-
-        rows = []
-        for suite, outcomes in outcomes_by_suite.items():
-            for strategy, label in (
-                (MergeStrategy.EDGE_MATCHING, "DCS-Edge matching"),
-                (MergeStrategy.WIRE_LENGTH, "DCS-Wire length"),
-            ):
-                # One routed STA per outcome and flow; fmax and the
-                # frequency ratios derive from the same reports.
-                mdr_fmax: List[float] = []
-                dcs_fmax: List[float] = []
-                ratios: List[float] = []
-                for o in outcomes:
-                    mdr_reports = o.result.mdr.per_mode_sta()
-                    dcs_reports = (
-                        o.result.dcs[strategy].per_mode_sta()
-                    )
-                    mdr_fmax.extend(
-                        r.frequency() for r in mdr_reports
-                    )
-                    dcs_fmax.extend(
-                        r.frequency() for r in dcs_reports
-                    )
-                    ratios.extend(
-                        timing_comparison(
-                            mdr_reports, dcs_reports
-                        ).ratios()
-                    )
-                low, mean, high = _aggregate(ratios)
-                rows.append({
-                    "suite": suite,
-                    "variant": label,
-                    "mdr_fmax": _mean(mdr_fmax),
-                    "dcs_fmax": _mean(dcs_fmax),
-                    "ratio_min": low,
-                    "ratio_mean": mean,
-                    "ratio_max": high,
-                })
-        return rows
-
-    @staticmethod
-    def print_fmax_table(rows: Sequence[Dict[str, object]]) -> str:
-        lines = [
-            "Extension: per-mode Fmax and MDR:DCS frequency ratio "
-            "(1.00 = merged circuit clocks as fast)",
-            f"{'suite':8s} {'variant':20s} "
-            f"{'MDR Fmax':>9s} {'DCS Fmax':>9s} "
-            f"{'ratio':>6s} {'min':>6s} {'max':>6s}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['suite']:8s} {row['variant']:20s} "
-                f"{row['mdr_fmax']:9.4f} {row['dcs_fmax']:9.4f} "
-                f"{row['ratio_mean']:6.2f} {row['ratio_min']:6.2f} "
-                f"{row['ratio_max']:6.2f}"
-            )
-        return "\n".join(lines)
-
-    @staticmethod
-    def print_sta_table(rows: Sequence[Dict[str, object]]) -> str:
-        lines = [
-            "Extension: routed critical-path delay relative to MDR "
-            "(1.00 = no penalty)",
-            f"{'suite':8s} {'variant':20s} "
-            f"{'mean':>6s} {'min':>6s} {'max':>6s}",
-        ]
-        for row in rows:
-            lines.append(
-                f"{row['suite']:8s} {row['variant']:20s} "
-                f"{row['mean']:6.2f} {row['min']:6.2f} "
-                f"{row['max']:6.2f}"
-            )
-        return "\n".join(lines)
-
-    # -- one-call driver ------------------------------------------------------
-
-    def run_all(self, verbose: bool = False) -> Dict[str, object]:
-        """Run every experiment; returns all rows keyed by artefact."""
-        outcomes = self.run_suites(SUITES, verbose=verbose)
-        return {
-            "table1": self.table1(),
-            "figure5": self.figure5(outcomes),
-            "figure6": self.figure6(outcomes["RegExp"]),
-            "figure7": self.figure7(outcomes),
-            "area": self.area_table(),
-            "sta": self.sta_table(outcomes),
-            "fmax": self.fmax_table(outcomes),
         }
 
+    rows = [
+        row(suite, "static both modes",
+            [max(sizes) / sum(sizes) for sizes in pair_sizes(suite)])
+        for suite in ("RegExp", "MCNC")
+    ]
+    generic = generate_fir_circuit(
+        "lowpass", seed=seed, k=k, generic=True, name="fir_generic",
+    ).n_luts()
+    rows.append(row(
+        "FIR", "generic FIR filter",
+        [max(sizes) / generic for sizes in pair_sizes("FIR")],
+    ))
+    return rows
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+
+def print_area_table(rows: Sequence[Dict[str, object]]) -> str:
+    lines = [
+        "Section IV-C: multi-mode area relative to baseline",
+        f"{'suite':8s} {'baseline':22s} "
+        f"{'area %':>7s} {'min':>6s} {'max':>6s}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['suite']:8s} {row['baseline']:22s} "
+            f"{row['area_pct']:7.1f} {row['min']:6.1f} "
+            f"{row['max']:6.1f}"
+        )
+    return "\n".join(lines)
+
+
+# -- extension: routed timing (abstract's performance claim) ------------------
+
+
+def sta_table(records: Sequence[Record]) -> List[Dict[str, object]]:
+    """Per-mode routed critical-path penalty of DCS vs MDR.
+
+    An extension beyond the paper's wire-length argument: static
+    timing analysis on the actual routed paths of both flows
+    ("without significant performance penalties", checked).  Reads
+    the records' per-mode MDR:DCS frequency ratios (6 decimals).
+    """
+    return _spread_rows(
+        records,
+        lambda r, s: _mean(r["dcs"][s]["frequency_ratios"]),
+    )
+
+
+def print_sta_table(rows: Sequence[Dict[str, object]]) -> str:
+    lines = [
+        "Extension: routed critical-path delay relative to MDR "
+        "(1.00 = no penalty)",
+        f"{'suite':8s} {'variant':20s} "
+        f"{'mean':>6s} {'min':>6s} {'max':>6s}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['suite']:8s} {row['variant']:20s} "
+            f"{row['mean']:6.2f} {row['min']:6.2f} "
+            f"{row['max']:6.2f}"
+        )
+    return "\n".join(lines)
+
+
+# -- extension: per-mode Fmax (the paper's speed comparison) ------------------
+
+
+def fmax_table(records: Sequence[Record]) -> List[Dict[str, object]]:
+    """Per-mode Fmax of both flows and the MDR:DCS frequency ratio.
+
+    The paper's headline comparison is achievable clock frequency;
+    this reports, per suite and merge strategy, the mean per-mode
+    Fmax of the separate (MDR) and merged (DCS) implementations
+    plus min/mean/max of the per-mode MDR:DCS frequency ratio
+    (1.0 = the merged circuit clocks exactly as fast).
+    """
+    rows = []
+    for suite, runs in _by_suite(records).items():
+        for strategy, label in _STRATEGIES:
+            dcs = [r["dcs"][strategy.value] for r in runs]
+            low, mean, high = _aggregate(
+                [ratio for d in dcs for ratio in d["frequency_ratios"]]
+            )
+            rows.append({
+                "suite": _label(suite),
+                "variant": label,
+                "mdr_fmax": _mean(
+                    [f for r in runs for f in r["mdr"]["fmax"]]
+                ),
+                "dcs_fmax": _mean([f for d in dcs for f in d["fmax"]]),
+                "ratio_min": low,
+                "ratio_mean": mean,
+                "ratio_max": high,
+            })
+    return rows
+
+
+def print_fmax_table(rows: Sequence[Dict[str, object]]) -> str:
+    lines = [
+        "Extension: per-mode Fmax and MDR:DCS frequency ratio "
+        "(1.00 = merged circuit clocks as fast)",
+        f"{'suite':8s} {'variant':20s} "
+        f"{'MDR Fmax':>9s} {'DCS Fmax':>9s} "
+        f"{'ratio':>6s} {'min':>6s} {'max':>6s}",
+    ]
+    for row in rows:
+        lines.append(
+            f"{row['suite']:8s} {row['variant']:20s} "
+            f"{row['mdr_fmax']:9.4f} {row['dcs_fmax']:9.4f} "
+            f"{row['ratio_mean']:6.2f} {row['ratio_min']:6.2f} "
+            f"{row['ratio_max']:6.2f}"
+        )
+    return "\n".join(lines)

@@ -8,8 +8,9 @@ Subcommands mirror the stages of the paper's flow:
     Run the full multi-mode flow (MDR + DCS) on two or more BLIF mode
     circuits and print the reconfiguration report.
 ``repro experiments``
-    Regenerate the paper's tables and figures (same as
-    ``examples/run_paper_experiments.py``).
+    Regenerate the paper's tables and figures: run the ``--effort``
+    level's campaign preset (``paper-quick``/``paper-default``/
+    ``paper``) and print every table from its run records.
 ``repro info``
     Print statistics of a BLIF circuit (size before/after mapping).
 ``repro export``
@@ -323,38 +324,37 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.bench.harness import SUITES, ExperimentHarness
+    from repro.bench import harness
+    from repro.bench.campaign import run_campaign
 
-    if (
-        args.criticality_exponent != 1.0
-        or args.timing_tradeoff != 0.5
-    ):
-        print(
-            "warning: the experiment harness uses the paper's timing "
-            "defaults; --criticality-exponent/--timing-tradeoff are "
-            "ignored here",
-            file=sys.stderr,
-        )
-    harness = ExperimentHarness(
-        effort=args.effort, seed=args.seed,
-        workers=args.workers, cache=_exec_cache(args),
+    _warn_unused_timing_args(args)
+    spec = harness.experiment_spec(
+        args.effort, seed=args.seed,
         timing_driven=args.timing_driven,
+        criticality_exponent=args.criticality_exponent,
+        timing_tradeoff=args.timing_tradeoff,
     )
-    outcomes = harness.run_suites(SUITES, verbose=True)
-    print()
-    print(harness.print_table1(harness.table1()))
-    print()
-    print(harness.print_figure5(harness.figure5(outcomes)))
-    print()
-    print(harness.print_figure6(harness.figure6(outcomes["RegExp"])))
-    print()
-    print(harness.print_figure7(harness.figure7(outcomes)))
-    print()
-    print(harness.print_area_table(harness.area_table()))
-    print()
-    print(harness.print_sta_table(harness.sta_table(outcomes)))
-    print()
-    print(harness.print_fmax_table(harness.fmax_table(outcomes)))
+    records = run_campaign(
+        spec, workers=args.workers, cache=_exec_cache(args),
+        verbose=True,
+    ).records
+    for text in (
+        harness.print_table1(
+            harness.table1(args.seed, spec.k, spec.scale)
+        ),
+        harness.print_figure5(harness.figure5(records)),
+        harness.print_figure6(harness.figure6(records)),
+        harness.print_figure7(harness.figure7(records)),
+        harness.print_area_table(
+            harness.area_table(
+                args.seed, spec.k, spec.scale, spec.pairs_per_suite
+            )
+        ),
+        harness.print_sta_table(harness.sta_table(records)),
+        harness.print_fmax_table(harness.fmax_table(records)),
+    ):
+        print()
+        print(text)
     return 0
 
 

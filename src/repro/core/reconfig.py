@@ -20,7 +20,7 @@ router, against the region budget of the architecture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Sequence, Set
 
 from repro.arch.architecture import FpgaArchitecture
 from repro.arch.rrg import RoutingResourceGraph
@@ -36,12 +36,6 @@ class ReconfigCost:
     @property
     def total(self) -> int:
         return self.lut_bits + self.routing_bits
-
-    def routing_fraction(self) -> float:
-        """Share of the rewrite spent on routing bits (Fig. 6)."""
-        if self.total == 0:
-            return 0.0
-        return self.routing_bits / self.total
 
 
 def varying_bits(bit_sets: Sequence[Set[int]]) -> Set[int]:
@@ -120,35 +114,3 @@ def speedup(baseline: ReconfigCost, improved: ReconfigCost) -> float:
         raise ValueError("improved cost is zero")
     return baseline.total / improved.total
 
-
-@dataclass(frozen=True)
-class BreakdownRow:
-    """One bar of Fig. 6: LUT vs routing contribution of a variant."""
-
-    label: str
-    lut_bits: int
-    routing_bits: int
-
-    @property
-    def total(self) -> int:
-        return self.lut_bits + self.routing_bits
-
-    def percentages(self) -> Dict[str, float]:
-        if self.total == 0:
-            return {"lut": 0.0, "routing": 0.0}
-        return {
-            "lut": 100.0 * self.lut_bits / self.total,
-            "routing": 100.0 * self.routing_bits / self.total,
-        }
-
-
-def breakdown_rows(
-    mdr: ReconfigCost, diff: ReconfigCost, dcs: ReconfigCost,
-    prefix: str = "",
-) -> List[BreakdownRow]:
-    """The three bars of Fig. 6 for one application."""
-    return [
-        BreakdownRow(f"{prefix}MDR", mdr.lut_bits, mdr.routing_bits),
-        BreakdownRow(f"{prefix}Diff", diff.lut_bits, diff.routing_bits),
-        BreakdownRow(f"{prefix}DCS", dcs.lut_bits, dcs.routing_bits),
-    ]

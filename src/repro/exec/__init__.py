@@ -14,10 +14,9 @@ beyond:
   submit/await/cancel with explicit job states over pluggable inline,
   thread-pool, and process-pool executors, plus priority dispatch and
   graceful resize/drain (the substrate of the ``repro.serve`` flow
-  service).
-* :mod:`repro.exec.scheduler` — deterministic batch facade over the
-  job core (results are returned in submission order regardless of
-  completion order).
+  service); :func:`~repro.exec.jobs.run_tasks` runs a one-shot batch
+  of tasks (:class:`~repro.exec.jobs.Task`) with results in
+  submission order regardless of completion order.
 * :mod:`repro.exec.progress` — wall-clock accounting per stage, merged
   across worker processes, feeding ``BENCH_exec.json``.
 
@@ -43,14 +42,15 @@ from repro.exec.jobs import (
     JobGraph,
     JobState,
     ProcessJobExecutor,
+    Task,
     ThreadJobExecutor,
+    default_workers,
     effective_workers,
     executor_for,
     resolve_workers,
     run_tasks,
 )
 from repro.exec.progress import ProgressLog, StageRecord
-from repro.exec.scheduler import Scheduler, Task, default_workers
 
 __all__ = [
     "InlineExecutor",
@@ -74,7 +74,6 @@ __all__ = [
     "fingerprint",
     "ProgressLog",
     "StageRecord",
-    "Scheduler",
     "Task",
     "default_workers",
 ]

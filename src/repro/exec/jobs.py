@@ -5,9 +5,9 @@ submitted to a :class:`JobGraph`, dispatched to a pluggable
 :class:`JobExecutor` (inline, thread pool, or process pool), and carry
 an explicit lifecycle state (:class:`JobState`).  Nothing here assumes
 a ``ProcessPoolExecutor``, an event loop, or a particular transport —
-the batch :class:`repro.exec.scheduler.Scheduler` facade, the campaign
-runner, and the ``repro.serve`` HTTP service are all thin clients of
-this one core.
+the one-shot batch runner :func:`run_tasks` (used by the flow, the
+campaign runner and bench-exec) and the ``repro.serve`` HTTP service
+are both thin clients of this one core.
 
 Determinism contract (inherited by every client):
 
@@ -48,16 +48,19 @@ def default_workers() -> int:
     """Worker count honouring ``REPRO_WORKERS`` (default: serial).
 
     Serial-by-default keeps unit tests and library callers free of
-    process-pool surprises; the CLI, the experiment harness, and the
-    flow server opt in explicitly.
+    process-pool surprises; the CLI and the flow server opt in
+    explicitly.  A value that is not an integer raises ``ValueError``
+    naming the variable, so a typo never silently runs serial.
     """
     env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(
+            f"REPRO_WORKERS={env!r} is not an integer worker count"
+        ) from None
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -539,12 +542,12 @@ def run_tasks(
     workers: Optional[int] = None,
     on_result: Optional[Callable[[int, Any], None]] = None,
 ) -> List[Any]:
-    """One-shot batch execution with the classic scheduler semantics.
+    """One-shot batch execution; results in submission order.
 
     Builds a right-sized executor for the batch (inline when one
-    worker suffices), submits everything, awaits in submission order,
-    and tears the pool down.  This is the porting target for
-    ``Scheduler.run`` and the flow drivers.
+    worker suffices), submits everything, awaits in submission order
+    (``on_result`` fires per completed prefix, see
+    :meth:`JobGraph.wait`), and tears the pool down.
     """
     if not tasks:
         return []

@@ -4,8 +4,9 @@ A *suite* is a named recipe producing the multi-mode circuits (mode
 pairs) of one workload family at a given scale.  The classic paper
 suites (``regexp``, ``fir``, ``mcnc``) and the generator families of
 :mod:`repro.gen` (``datapath``, ``fsm``, ``xbar``, ``klut``) register
-here behind one interface, so the experiment harness, the campaign
-runner and ``bench-exec`` all draw workloads from the same registry:
+here behind one interface, so the campaign runner (and with it
+``repro experiments``), the paper's Table I and ``bench-exec`` all
+draw workloads from the same registry:
 
 * :func:`suite_pair_specs` — the pairs as ``WorkloadSpec`` tuples
   (cheap; what campaign records and cache keys embed);
@@ -15,10 +16,10 @@ runner and ``bench-exec`` all draw workloads from the same registry:
 * :func:`registered_suites` — name -> :class:`SuiteDef` for listings.
 
 Scales trade size for runtime: ``tiny`` (seconds per pair — CI smoke
-and unit tests), ``quick``/``default`` (the harness's calibrated
-subsets), ``medium`` (router-bench A/B runs: large enough for search
-costs to dominate, small enough for a bench loop) and ``paper`` (full
-experiment sizes).
+and unit tests), ``quick``/``default`` (the calibrated subsets of
+``repro experiments``), ``medium`` (router-bench A/B runs: large
+enough for search costs to dominate, small enough for a bench loop)
+and ``paper`` (full experiment sizes).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.netlist.lutcircuit import LutCircuit
 
 SCALES = ("tiny", "quick", "default", "medium", "paper")
 
-#: Harness-facing aliases (the paper's suite spellings).
+#: The paper's suite spellings (Table I and the figures print them).
 SUITE_ALIASES = {"RegExp": "regexp", "FIR": "fir", "MCNC": "mcnc"}
 
 PairSpecs = List[Tuple[str, Tuple[WorkloadSpec, ...]]]

@@ -49,8 +49,8 @@ class AnnealingSchedule:
     """Tunable knobs of the annealing schedule.
 
     ``inner_num`` scales effort: VPR's default is 10; pure-Python runs
-    use smaller values (the experiment harness maps effort levels onto
-    this knob).
+    use smaller values (the campaign presets behind ``repro
+    experiments --effort`` map effort levels onto this knob).
     """
 
     inner_num: float = 1.0

@@ -166,3 +166,84 @@ class TestReport:
                      "--effort", "0.1"]) == 0
         out = capsys.readouterr().out
         assert "Per-mode wire usage" in out
+
+
+class TestExperimentsCommand:
+    """``repro experiments`` is a client of ``run_campaign``; the flow
+    itself is stubbed out here."""
+
+    @staticmethod
+    def _record():
+        dcs = {
+            "total_bits": 250, "routing_bits": 150,
+            "wirelength": [12, 14], "fmax": [0.4, 0.5],
+            "frequency_ratios": [1.0, 1.1],
+        }
+        return {
+            "suite": "regexp",
+            "mdr": {
+                "total_bits": 1000, "routing_bits": 900,
+                "diff_routing_bits": 300, "wirelength": [10, 12],
+                "fmax": [0.45, 0.55],
+            },
+            "dcs": {"edge_matching": dcs, "wire_length": dcs},
+        }
+
+    @pytest.fixture()
+    def ran(self, monkeypatch):
+        from repro.bench import campaign, harness
+
+        specs = []
+
+        def fake_run_campaign(spec, **_kwargs):
+            specs.append(spec)
+            return campaign.CampaignResult(spec, [self._record()], {})
+
+        monkeypatch.setattr(campaign, "run_campaign", fake_run_campaign)
+        # Table I and the area table build circuits, not flow runs;
+        # keep this test at unit speed.
+        monkeypatch.setattr(harness, "table1", lambda *args: [])
+        monkeypatch.setattr(harness, "area_table", lambda *args: [])
+        return specs
+
+    @pytest.mark.parametrize("effort, preset", [
+        ("quick", "paper-quick"),
+        ("default", "paper-default"),
+        ("paper", "paper"),
+    ])
+    def test_effort_runs_its_preset(self, ran, capsys, effort, preset):
+        assert main([
+            "experiments", "--effort", effort, "--seed", "3",
+            "--no-cache",
+        ]) == 0
+        (spec,) = ran
+        assert spec.name == preset
+        assert spec.seeds == (3,)
+        (variant,) = spec.variants
+        assert variant.label == "wirelength"
+        assert not variant.timing_driven
+        assert (variant.criticality_exponent, variant.timing_tradeoff) == (
+            1.0, 0.5
+        )
+        out = capsys.readouterr().out
+        for title in ("TABLE I", "Fig. 5", "Fig. 6", "Fig. 7",
+                      "Section IV-C", "routed critical-path",
+                      "MDR:DCS frequency ratio"):
+            assert title in out
+        assert "RegExp" in out
+
+    def test_timing_knobs_reach_the_variant(self, ran, capsys):
+        assert main([
+            "experiments", "--timing-driven",
+            "--criticality-exponent", "2", "--timing-tradeoff", "0.25",
+            "--no-cache",
+        ]) == 0
+        (spec,) = ran
+        assert spec.name == "paper-quick"
+        assert spec.seeds == (0,)
+        (variant,) = spec.variants
+        assert variant.label == "timing"
+        assert variant.timing_driven
+        assert variant.criticality_exponent == 2.0
+        assert variant.timing_tradeoff == 0.25
+        assert "ignored" not in capsys.readouterr().err

@@ -68,6 +68,6 @@ class TestScenarioExamples:
         assert "merged_routing.svg" in out
         assert "## Reconfiguration cost" in out
 
-    # The run_paper_experiments.py path is exercised end to end by
-    # the benchmark suite (same harness, same code path), so it is
-    # not duplicated here.
+    # The paper's tables come from `repro experiments` (a campaign
+    # client; see tests/test_cli.py and the nightly paper-tables
+    # job), not from an example script.

@@ -1,6 +1,7 @@
 """Tests of the ``repro.exec`` subsystem.
 
-Covers the four modules (fingerprint, cache, scheduler, progress) plus
+Covers fingerprint, cache, the one-shot batch runner (``run_tasks``)
+and progress, plus
 the two system-level guarantees the flow depends on:
 
 * **cache correctness** — a warm-cache ``implement_multi_mode`` run
@@ -31,7 +32,7 @@ from repro.exec.cache import (
 )
 from repro.exec.fingerprint import Unfingerprintable, fingerprint
 from repro.exec.progress import ProgressLog, StageRecord, timed_call
-from repro.exec.scheduler import Scheduler, Task, default_workers
+from repro.exec.jobs import Task, default_workers, run_tasks
 from repro.netlist.lutcircuit import LutCircuit
 from repro.netlist.truthtable import TruthTable
 
@@ -331,7 +332,7 @@ class TestPrune:
 
 
 # ---------------------------------------------------------------------------
-# scheduler
+# batch runner
 # ---------------------------------------------------------------------------
 
 
@@ -346,37 +347,36 @@ def _failing_task(value):
 
 
 class TestScheduler:
+    """``run_tasks``: the batch runner every flow driver fans out on."""
+
     @pytest.mark.smoke
     def test_serial_inline(self):
-        scheduler = Scheduler(workers=1)
-        results = scheduler.run(
-            [Task(_echo_task, (i,)) for i in range(5)]
+        results = run_tasks(
+            [Task(_echo_task, (i,)) for i in range(5)], workers=1
         )
         assert [value for value, _pid in results] == list(range(5))
         assert all(pid == os.getpid() for _v, pid in results)
 
     def test_parallel_submission_order(self):
-        scheduler = Scheduler(workers=2)
         # Reverse-sorted delays: the first-submitted task finishes
         # last, yet results must come back in submission order.
         tasks = [
             Task(_echo_task, (i, 0.2 - 0.05 * i)) for i in range(4)
         ]
-        results = scheduler.run(tasks)
+        results = run_tasks(tasks, workers=2)
         assert [value for value, _pid in results] == list(range(4))
         if (os.cpu_count() or 1) > 1:
-            # With one core the scheduler legitimately runs inline.
+            # With one core the batch legitimately runs inline.
             assert any(pid != os.getpid() for _v, pid in results)
 
     def test_parallel_error_propagates(self):
-        scheduler = Scheduler(workers=2)
         tasks = [
             Task(_echo_task, (0,)),
             Task(_failing_task, (1,)),
             Task(_echo_task, (2,)),
         ]
         with pytest.raises(ValueError, match="boom 1"):
-            scheduler.run(tasks)
+            run_tasks(tasks, workers=2)
 
     def test_default_workers_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -384,23 +384,28 @@ class TestScheduler:
         monkeypatch.setenv("REPRO_WORKERS", "6")
         assert default_workers() == 6
         monkeypatch.setenv("REPRO_WORKERS", "junk")
-        assert default_workers() == 1
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            default_workers()
+        # The batch runner resolves through the same check.
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            run_tasks([Task(_echo_task, (0,))])
 
     def test_empty_and_map(self):
-        scheduler = Scheduler(workers=1)
-        assert scheduler.run([]) == []
-        results = scheduler.map(_echo_task, [(1,), (2,)])
+        assert run_tasks([], workers=1) == []
+        results = run_tasks(
+            [Task(_echo_task, args) for args in [(1,), (2,)]],
+            workers=1,
+        )
         assert [v for v, _ in results] == [1, 2]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_on_result_fires_in_submission_order(self, workers):
-        scheduler = Scheduler(workers=workers)
         seen = []
         tasks = [
             Task(_echo_task, (i, 0.1 - 0.03 * i)) for i in range(3)
         ]
-        results = scheduler.run(
-            tasks,
+        results = run_tasks(
+            tasks, workers,
             on_result=lambda idx, res: seen.append((idx, res[0])),
         )
         assert seen == [(0, 0), (1, 1), (2, 2)]
@@ -409,8 +414,7 @@ class TestScheduler:
     def test_on_result_stops_at_first_failure(self):
         """The callback never sees results past a failed task: a
         checkpointer must not record completions the caller will
-        never observe (run() raises)."""
-        scheduler = Scheduler(workers=2)
+        never observe (run_tasks raises)."""
         seen = []
         tasks = [
             Task(_echo_task, (0,)),
@@ -418,8 +422,8 @@ class TestScheduler:
             Task(_echo_task, (2,)),
         ]
         with pytest.raises(ValueError, match="boom 1"):
-            scheduler.run(
-                tasks,
+            run_tasks(
+                tasks, workers=2,
                 on_result=lambda idx, _res: seen.append(idx),
             )
         assert seen == [0]

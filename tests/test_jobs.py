@@ -1,7 +1,8 @@
 """Tests of the transport-agnostic job-graph core (``repro.exec.jobs``).
 
 The job graph carries the determinism contract every client (the
-``Scheduler`` facade, the campaign runner, ``repro serve``) inherits:
+``run_tasks`` batch runner, the campaign runner, ``repro serve``)
+inherits:
 submission-order results, incremental ``on_result``, first-failure-wins
 — exercised here under the inline, thread, and process executors.
 """
@@ -23,7 +24,6 @@ from repro.exec.jobs import (
     resolve_workers,
     run_tasks,
 )
-from repro.exec.scheduler import Scheduler
 
 
 # Module-level so the process executor can pickle them by reference.
@@ -286,9 +286,3 @@ class TestRunTasks:
         assert resolve_workers(3) == 3
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert resolve_workers(None) == 5
-
-    def test_scheduler_facade_matches_run_tasks(self):
-        tasks = [Task(_square, (i,)) for i in range(5)]
-        assert Scheduler(workers=2).run(tasks) == run_tasks(
-            tasks, workers=2
-        )

@@ -5,9 +5,7 @@ import pytest
 from repro.arch.architecture import FpgaArchitecture
 from repro.arch.rrg import build_rrg
 from repro.core.reconfig import (
-    BreakdownRow,
     ReconfigCost,
-    breakdown_rows,
     dcs_cost,
     diff_cost,
     mdr_cost,
@@ -69,25 +67,3 @@ class TestCosts:
         with pytest.raises(ValueError):
             speedup(a, ReconfigCost(0, 0))
 
-    def test_routing_fraction(self):
-        c = ReconfigCost(lut_bits=25, routing_bits=75)
-        assert c.routing_fraction() == pytest.approx(0.75)
-
-
-class TestBreakdown:
-    def test_rows(self):
-        mdr = ReconfigCost(10, 90)
-        diff = ReconfigCost(10, 20)
-        dcs = ReconfigCost(10, 5)
-        rows = breakdown_rows(mdr, diff, dcs, prefix="RegExp-")
-        assert [r.label for r in rows] == [
-            "RegExp-MDR", "RegExp-Diff", "RegExp-DCS",
-        ]
-        assert rows[0].percentages()["routing"] == pytest.approx(90.0)
-        assert rows[2].percentages()["lut"] == pytest.approx(
-            100 * 10 / 15
-        )
-
-    def test_empty_row(self):
-        row = BreakdownRow("x", 0, 0)
-        assert row.percentages() == {"lut": 0.0, "routing": 0.0}
