@@ -27,7 +27,6 @@ from repro.core.flow import estimate_channel_width
 from repro.core.merge import MergeStrategy
 from repro.arch.architecture import FpgaArchitecture, size_for_circuits
 from repro.route.troute import (
-    parameterized_routing_bits,
     route_tunable_circuit,
 )
 
@@ -76,7 +75,7 @@ def ablation(merged):
         routing = route_tunable_circuit(
             rrg, tunable.site_connections(), 2, **knobs
         )
-        results[label] = len(parameterized_routing_bits(routing))
+        results[label] = len(routing.parameterized_bits())
     return results
 
 

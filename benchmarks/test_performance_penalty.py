@@ -3,15 +3,35 @@ penalty" claim.
 
 The paper argues via wire length (Fig. 7) that the combined
 implementation costs little performance.  With the placement-level
-timing model (`repro.place.timing`) the claim is checked directly: the
-per-mode critical-path delay of the merged circuit is compared to the
-separate MDR implementation of the same mode.
+delay estimate (`repro.timing.criticality.placed_arc_delays`) the
+claim is checked directly: the per-mode critical-path delay of the
+merged circuit is compared to the separate MDR implementation of the
+same mode.
 """
 
 import pytest
 
 from repro.core.merge import MergeStrategy
-from repro.place.timing import dcs_timing, mdr_timing, timing_penalty
+from repro.timing import (
+    placed_arc_delays,
+    routed_critical_path,
+    timing_comparison,
+)
+from repro.timing.criticality import tunable_cell_sites
+
+
+def placed_report(circuit, sites):
+    """Critical path of *circuit* under the placed delay estimate."""
+    return routed_critical_path(
+        circuit, placed_arc_delays(circuit, sites)
+    )
+
+
+def dcs_placed_report(tunable, mode):
+    """Placed critical path of *mode* inside the merged circuit."""
+    return placed_report(
+        tunable.specialize(mode), tunable_cell_sites(tunable)[mode]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -22,23 +42,23 @@ def timing_data(experiment):
             result = outcome.result
             pair = outcome.modes
             mdr_reports = [
-                mdr_timing(circuit, impl.placement)
+                placed_report(circuit, impl.placement.sites)
                 for circuit, impl in zip(
                     pair, result.mdr.implementations
                 )
             ]
             for strategy, dcs in result.dcs.items():
                 dcs_reports = [
-                    dcs_timing(dcs.tunable, mode)
+                    dcs_placed_report(dcs.tunable, mode)
                     for mode in range(len(pair))
                 ]
                 rows.append({
                     "suite": suite,
                     "name": outcome.name,
                     "strategy": strategy,
-                    "penalty": timing_penalty(
+                    "penalty": timing_comparison(
                         mdr_reports, dcs_reports
-                    ),
+                    ).mean_ratio,
                 })
     return rows
 
@@ -76,5 +96,5 @@ def test_bench_timing_model(benchmark, experiment):
     outcome = experiment["RegExp"][0]
     result = outcome.result
     dcs = result.dcs[MergeStrategy.WIRE_LENGTH]
-    report = benchmark(dcs_timing, dcs.tunable, 0)
+    report = benchmark(dcs_placed_report, dcs.tunable, 0)
     assert report.critical_delay > 0

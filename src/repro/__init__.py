@@ -14,14 +14,15 @@ paper's contribution on top:
     technology mapping.
 ``repro.arch``
     Island-style FPGA architecture model, routing-resource graph and
-    configuration-memory (bitstream) model.
+    frame-based configuration memory.
 ``repro.place`` / ``repro.route``
     VPR-style simulated-annealing placement and PathFinder routing.
 ``repro.core``
     The paper's contribution: mode encodings, Tunable circuits, the
     merge step, combined placement and the end-to-end MDR / DCS flows.
 ``repro.timing``
-    Routed static timing analysis (RRG delay model, critical paths).
+    Timing analysis: the RRG delay model, connection criticalities and
+    placed or routed critical paths, all on one longest-path engine.
 ``repro.interop``
     VPR file formats: architecture files, ``.net``, ``.place``,
     ``.route`` readers and writers.

@@ -10,8 +10,12 @@ channels.
   minimum).
 * :mod:`repro.arch.rrg` — the routing-resource graph: wires, pins and
   programmable switches, each switch owning one configuration bit.
-* :mod:`repro.arch.bitstream` — the configuration-memory model used for
-  all reconfiguration-time accounting (LUT bits vs routing bits).
+* :mod:`repro.arch.frames` — frame-based configuration memory: how
+  many frames a mode switch rewrites, and the allocator that packs the
+  parameterised bits into few frames.
+
+Reconfiguration-time accounting in bits lives in
+:mod:`repro.core.reconfig`.
 """
 
 from repro.arch.architecture import FpgaArchitecture, Site, size_for_circuits

@@ -39,7 +39,6 @@ from repro.core.combined_placement import (
 from repro.core.merge import MergeStrategy, merge_by_index
 from repro.core.reconfig import (
     ReconfigCost,
-    dcs_cost,
     diff_cost,
     mdr_cost,
     speedup,
@@ -807,7 +806,7 @@ def _run_dcs(
         strategy=strategy,
         tunable=tunable,
         routing=routing,
-        cost=dcs_cost(arch, per_mode_bits),
+        cost=diff_cost(arch, per_mode_bits),
         placement=placement_result,
     )
 

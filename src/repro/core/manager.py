@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.core.modes import ModeEncoding
-from repro.route.router import RoutingResult
+from repro.route.router import RoutingResult, varying_bits
 
 
 @dataclass
@@ -49,26 +49,20 @@ class ParameterizedConfiguration:
         per_mode = [
             result.bits_on(mode) for mode in range(result.n_modes)
         ]
-        union: Set[int] = set()
-        intersection: Optional[Set[int]] = None
-        for bits in per_mode:
-            union |= bits
-            intersection = (
-                set(bits) if intersection is None
-                else intersection & bits
-            )
-        intersection = intersection or set()
-        parameterized = {}
-        for bit in union - intersection:
-            parameterized[bit] = frozenset(
+        parameterized = {
+            bit: frozenset(
                 mode
                 for mode in range(result.n_modes)
                 if bit in per_mode[mode]
             )
+            for bit in varying_bits(per_mode)
+        }
         return cls(
             n_modes=result.n_modes,
             n_bits_total=n_bits_total,
-            static_on=frozenset(intersection),
+            static_on=frozenset(
+                set.intersection(*per_mode) if per_mode else ()
+            ),
             parameterized=parameterized,
         )
 

@@ -13,8 +13,11 @@ accountings:
 * **DCS** — all LUT bits plus only the *parameterised* routing bits of
   the combined implementation (factor ~4 on top of Diff).
 
-All quantities are derived from per-mode on-bit sets produced by the
-router, against the region budget of the architecture.
+Diff and DCS are one count, :func:`diff_cost`, over different inputs:
+the separate MDR routings' bit sets or TRoute's.  All quantities are
+derived from per-mode on-bit sets produced by the router
+(:func:`~repro.route.router.varying_bits`), against the region budget
+of the architecture.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Sequence, Set
 
 from repro.arch.architecture import FpgaArchitecture
 from repro.arch.rrg import RoutingResourceGraph
+from repro.route.router import varying_bits
 
 
 @dataclass(frozen=True)
@@ -36,18 +40,6 @@ class ReconfigCost:
     @property
     def total(self) -> int:
         return self.lut_bits + self.routing_bits
-
-
-def varying_bits(bit_sets: Sequence[Set[int]]) -> Set[int]:
-    """Bits that are not constant across the given per-mode on-sets."""
-    if not bit_sets:
-        return set()
-    union: Set[int] = set()
-    intersection: Set[int] = set(bit_sets[0])
-    for bits in bit_sets:
-        union |= bits
-        intersection &= bits
-    return union - intersection
 
 
 def mdr_cost(
@@ -64,24 +56,12 @@ def diff_cost(
     arch: FpgaArchitecture,
     per_mode_bits: Sequence[Set[int]],
 ) -> ReconfigCost:
-    """All LUT bits + routing bits differing between the separate
-    (MDR-style) implementations."""
-    return ReconfigCost(
-        lut_bits=arch.total_lut_bits(),
-        routing_bits=len(varying_bits(per_mode_bits)),
-    )
+    """All LUT bits + the routing bits that differ between modes.
 
-
-def dcs_cost(
-    arch: FpgaArchitecture,
-    per_mode_bits: Sequence[Set[int]],
-) -> ReconfigCost:
-    """All LUT bits + parameterised routing bits of the combined
-    implementation.
-
-    Identical arithmetic to :func:`diff_cost` — the difference is the
-    input: these bit sets come from TRoute on the merged circuit, where
-    the combined placement has aligned the modes.
+    Over the separate (MDR) implementations' bit sets this is the
+    Diff accounting; over TRoute's bit sets on the merged circuit,
+    where the combined placement has aligned the modes, it is the DCS
+    cost (all LUT bits + the parameterised routing bits).
     """
     return ReconfigCost(
         lut_bits=arch.total_lut_bits(),
@@ -113,4 +93,3 @@ def speedup(baseline: ReconfigCost, improved: ReconfigCost) -> float:
     if improved.total == 0:
         raise ValueError("improved cost is zero")
     return baseline.total / improved.total
-

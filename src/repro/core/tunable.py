@@ -294,12 +294,11 @@ class TunableCircuit:
 
     # -- routing workload -----------------------------------------------------
 
-    def site_connections(self):
-        """Site-level connections for TRoute.
+    def sites(self) -> Dict[str, Site]:
+        """Site of every tunable cell (Tunable LUTs, then pads).
 
         Requires every tunable cell to carry a site (i.e. a combined
-        placement or TPlace result).  Returns entries of the form
-        consumed by :func:`repro.route.troute.route_tunable_circuit`.
+        placement or TPlace result); raises ``ValueError`` otherwise.
         """
         sites: Dict[str, Site] = {}
         for name, tlut in self.tluts.items():
@@ -310,6 +309,16 @@ class TunableCircuit:
             if pad.site is None:
                 raise ValueError(f"tunable pad {name} has no site")
             sites[name] = pad.site
+        return sites
+
+    def site_connections(self):
+        """Site-level connections for TRoute.
+
+        Returns entries of the form consumed by
+        :func:`repro.route.troute.route_tunable_circuit`; every cell
+        needs a site (:meth:`sites`).
+        """
+        sites = self.sites()
         return [
             (
                 conn.source,

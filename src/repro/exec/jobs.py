@@ -345,7 +345,14 @@ class JobGraph:
             except RuntimeError:
                 # A concurrent resize retired the captured pool between
                 # the lock release and the submit; the new pool takes it.
-                inner = self.executor.submit(job.fn, *job.args)
+                try:
+                    inner = self.executor.submit(job.fn, *job.args)
+                except RuntimeError as exc:
+                    # The pool itself is broken (a killed worker turns
+                    # it into a BrokenProcessPool): fail the job here,
+                    # or it would stay running and wedge drain().
+                    self._complete(job, None, exc)
+                    continue
             inner.add_done_callback(
                 lambda f, job=job: self._finish(job, f)
             )
@@ -365,6 +372,13 @@ class JobGraph:
             result = inner.result()
         except BaseException as exc:
             error = exc
+        self._complete(job, result, error)
+        self._dispatch()
+
+    def _complete(
+        self, job: Job, result: Any, error: Optional[BaseException]
+    ) -> None:
+        """Move a dispatched job to DONE/FAILED and release its slot."""
         state = JobState.DONE if error is None else JobState.FAILED
         with self._lock:
             job._state = state
@@ -377,7 +391,6 @@ class JobGraph:
         else:
             job.future.set_exception(error)
         self._fire(listeners, job, state)
-        self._dispatch()
 
     @staticmethod
     def _fire(

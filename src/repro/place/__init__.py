@@ -15,7 +15,6 @@
 from repro.place.annealing import AnnealingSchedule, anneal
 from repro.place.cost import net_bounding_box_cost, q_factor
 from repro.place.placer import Placement, place_circuit
-from repro.place.timing import TimingReport, critical_path
 
 __all__ = [
     "AnnealingSchedule",
@@ -24,6 +23,4 @@ __all__ = [
     "q_factor",
     "Placement",
     "place_circuit",
-    "TimingReport",
-    "critical_path",
 ]

@@ -1,6 +1,8 @@
 """Routing: negotiated-congestion (PathFinder) routing on the RRG.
 
-* :mod:`repro.route.router` — the connection-based PathFinder engine.
+* :mod:`repro.route.router` — the connection-based PathFinder engine
+  and its result, whose ``parameterized_bits()`` (via
+  ``varying_bits``) is the one count of mode-dependent switch bits.
   It is *mode-aware*: occupancy is tracked per mode, so wires may be
   shared by different modes (their configuration bits become Boolean
   functions of the mode) while conflicts within one mode are negotiated
@@ -10,8 +12,8 @@
   pure-Python reference the tests hold it to, decision for decision.
 * :mod:`repro.route.searchkernel` — the search loops of both.
 * :mod:`repro.route.troute` — TRoute: builds the tunable-connection
-  workload of a merged multi-mode circuit, routes it, and extracts the
-  per-mode configurations and parameterised-bit counts.
+  workload of a merged multi-mode circuit and routes it (and the
+  single-mode workload of the MDR baseline).
 """
 
 from repro.route.router import (

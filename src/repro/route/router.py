@@ -74,10 +74,11 @@ deterministic and part of what the scalar reference reproduces bit for
 bit.
 
 **Scalar reference.**  :class:`ScalarPathFinderRouter` replaces the
-two search methods with the pure-Python kernels, which price one node
-at a time.  Every float expression of the production core keeps the
-reference's exact operation order and grouping (float addition is not
-associative; a one-ULP difference flips equal-cost tie-breaks), so
+two search methods with one pure-Python kernel (timed above
+criticality 0), which prices one node at a time.  Every float
+expression of the production core keeps the reference's exact
+operation order and grouping (float addition is not associative; a
+one-ULP difference flips equal-cost tie-breaks), so
 both make byte-identical decisions: identical routes, wirelength,
 iteration counts and cached-result pickles
 (``tests/test_router_equivalence.py``).  The production core takes
@@ -136,7 +137,6 @@ from repro.route.searchkernel import (
     heap_search_timed,
     heap_search_untimed,
     scalar_search,
-    scalar_search_timed,
 )
 
 #: Knuth's multiplicative-hash constant of the per-(net, node)
@@ -145,9 +145,11 @@ _NOISE_MUL = 0x9E3779B9
 
 #: Heuristic-vector cache bound: evict least-recently-used entries
 #: once the cached lists hold more than this many floats (~16 MB).
-#: Untimed routing keys by target only and never comes close; timed
-#: routing keys by (target, astar_fac) and would otherwise grow one
-#: entry per connection.
+#: Only untimed searches read the cache, keyed by (target, weight)
+#: with two weights per target (the affinity floor and the
+#: shared-connection weight), so it holds one n_nodes-float list per
+#: entry; on paper-scale graphs with many targets the bound is what
+#: caps it.
 _H_CACHE_MAX_FLOATS = 2_000_000
 
 #: "Not seen this search" sentinel of the heap kernels' ``dist``.
@@ -236,6 +238,23 @@ class RoutingTiming:
     criticality: Dict[int, float]
 
 
+def varying_bits(bit_sets: Sequence[Set[int]]) -> Set[int]:
+    """Bits on in some but not all of the given per-mode on-sets.
+
+    These are the *parameterised* bits of a multi-mode routing (the
+    paper's Fig. 6 DCS metric): a bit on in every mode is a static
+    one, a bit on in none a static zero.
+    """
+    if not bit_sets:
+        return set()
+    union: Set[int] = set()
+    intersection: Set[int] = set(bit_sets[0])
+    for bits in bit_sets:
+        union |= bits
+        intersection &= bits
+    return union - intersection
+
+
 @dataclass
 class RoutingResult:
     """All routed connections plus per-mode summaries."""
@@ -252,6 +271,12 @@ class RoutingResult:
             if mode in route.request.modes:
                 bits |= route.bits()
         return bits
+
+    def parameterized_bits(self) -> Set[int]:
+        """Switch bits on in some modes but not all."""
+        return varying_bits(
+            [self.bits_on(mode) for mode in range(self.n_modes)]
+        )
 
     def wires_used(self, mode: int) -> Set[int]:
         """WIRE nodes used by *mode* (the paper's Fig. 7 metric)."""
@@ -572,8 +597,8 @@ class PathFinderRouter:
         if h is None:
             # Evict least-recently-used entries (dict order = use
             # order: hits below re-insert) instead of clearing the
-            # lot — timed routing keys one entry per connection and
-            # would thrash the whole cache at the bound.
+            # lot, so a graph with more targets than the bound holds
+            # keeps its recently routed ones.
             n = self._n_nodes
             while cache and (len(cache) + 1) * n > _H_CACHE_MAX_FLOATS:
                 del cache[next(iter(cache))]
@@ -990,25 +1015,6 @@ class PathFinderRouter:
 
     # -- bit-sharing improvement ---------------------------------------------
 
-    def _parameterized_bit_count(
-        self, routes: Dict[int, ConnectionRoute]
-    ) -> int:
-        """Bits on in some but not all modes (the Fig. 6 DCS metric)."""
-        per_mode: List[Set[int]] = [set() for _ in range(self.n_modes)]
-        for route in routes.values():
-            bits = route.bits()
-            for mode in route.request.modes:
-                per_mode[mode] |= bits
-        union: Set[int] = set()
-        intersection: Optional[Set[int]] = None
-        for bits in per_mode:
-            union |= bits
-            intersection = (
-                set(bits) if intersection is None
-                else intersection & bits
-            )
-        return len(union - (intersection or set()))
-
     def _rebuild_state(
         self, routes: Dict[int, ConnectionRoute]
     ) -> None:
@@ -1045,8 +1051,14 @@ class PathFinderRouter:
             or self.bit_affinity >= 1.0
         ):
             return routes
+
+        def n_parameterized(routes: Dict[int, ConnectionRoute]) -> int:
+            return len(RoutingResult(
+                self.rrg, routes, self.n_modes, 0
+            ).parameterized_bits())
+
         best = dict(routes)
-        best_count = self._parameterized_bit_count(best)
+        best_count = n_parameterized(best)
         current = dict(routes)
         for _sweep in range(self.sharing_passes):
             for net in net_order:
@@ -1060,7 +1072,7 @@ class PathFinderRouter:
                     current[request.conn_id] = route
             if self._congested_nodes():
                 break
-            count = self._parameterized_bit_count(current)
+            count = n_parameterized(current)
             if count < best_count:
                 best = dict(current)
                 best_count = count
@@ -1134,4 +1146,4 @@ class ScalarPathFinderRouter(PathFinderRouter):
     def _search_timed(
         self, request: RouteRequest, pres_fac: float, crit: float
     ) -> Optional[List[Tuple[int, int, int]]]:
-        return scalar_search_timed(self, request, pres_fac, crit)
+        return scalar_search(self, request, pres_fac, crit)

@@ -12,13 +12,13 @@ sweeps — searches through one of two kernel families:
     target block's pin edges and seed only live nodes, which skips
     heap entries that could never relax anything.
 
-``scalar_search`` / ``scalar_search_timed``
-    The scalar reference loops of
+``scalar_search``
+    The scalar reference loop of
     :class:`~repro.route.router.ScalarPathFinderRouter` (the router
-    object is duck-typed in): every node is priced on first touch,
-    one dict probe at a time.  They define bit-exactness, and the
-    equivalence tests hold the heap kernels to them decision for
-    decision.
+    object is duck-typed in), untimed at criticality 0 and timed
+    above: every node is priced on first touch, one dict probe at a
+    time.  It defines bit-exactness, and the equivalence tests hold
+    both heap kernels to it decision for decision.
 """
 
 from __future__ import annotations
@@ -70,19 +70,40 @@ class RouterStats:
 
 
 def scalar_search(
-    router, request, pres_fac: float
+    router, request, pres_fac: float, crit: float = 0.0
 ) -> Optional[List[Tuple[int, int, int]]]:
-    """Reference multi-source A* (untimed): the cost model of the
-    router module docstring inlined into the relaxation loop, with
-    the per-connection-constant parts hoisted out."""
+    """Reference multi-source A*: the cost model of the router module
+    docstring inlined into the relaxation loop, with the
+    per-connection-constant parts hoisted out.
+
+    At ``crit == 0`` (untimed) an edge costs ``cost + 0.01 * noise``
+    and the A* weight is the router's affinity floor; ``router.timing``
+    is never read.  Above 0 every edge is priced VPR-style as
+    ``crit * delay + (1 - crit) * congestion`` with ``delay`` the
+    DelayModel edge delay (destination-node intrinsic delay plus a
+    switch delay when the edge carries a configuration bit), and the
+    A* weight blends to ``inv_crit * astar_fac + crit * wire_delay``,
+    which is not consistent for critical connections: a wire->IPIN
+    hop adds less delay per Manhattan unit (``pin_delay +
+    switch_delay``) than ``wire_delay``."""
     rrg = router.rrg
     target = request.sink
     node_x = rrg.node_x
     node_y = rrg.node_y
     tx, ty = node_x[target], node_y[target]
     net_salt = zlib.crc32(request.net.encode())
-    astar_fac = router.astar_fac
     net = request.net
+    timed = crit > 0.0
+    if timed:
+        inv_crit = 1.0 - crit
+        model = router.timing.model
+        switch_delay = model.switch_delay
+        node_delay = router._node_delay
+        astar_fac = (
+            inv_crit * router.astar_fac + crit * model.wire_delay
+        )
+    else:
+        astar_fac = router.astar_fac
     stats = router.stats
     n_pops = n_pushes = n_settled = 0
 
@@ -214,201 +235,10 @@ def scalar_search(
                 price_noise[nxt] = noise
                 price_epoch[nxt] = epoch
             bit = edge_bit[e]
-            if use_bit_affinity and bit >= 0 and overuse_zero:
-                bit_cost = cost
-                for bit_refs in other_bit_refs:
-                    if not bit_refs.get(bit):
-                        break
-                else:
-                    bit_cost = cost * bit_affinity
-                # Grouped as g + (cost + noise), exactly like the
-                # production core's price lists: float addition is not
-                # associative and a one-ULP difference flips
-                # equal-cost tie-breaks.
-                ng = g + (bit_cost + 0.01 * noise)
-            else:
-                ng = g + (cost + 0.01 * noise)
-            # -------------------------------------------------------
-            if dist_epoch[nxt] != epoch or ng < dist[nxt]:
-                dist[nxt] = ng
-                dist_epoch[nxt] = epoch
-                parent_node[nxt] = node
-                parent_bit[nxt] = bit
-                n_pushes += 1
-                dx = node_x[nxt] - tx
-                if dx < 0:
-                    dx = -dx
-                dy = node_y[nxt] - ty
-                if dy < 0:
-                    dy = -dy
-                heappush(heap, (ng + astar_fac * (dx + dy), ng, nxt))
-    if stats is not None:
-        stats.searches += 1
-        stats.pops += n_pops
-        stats.pushes += n_pushes
-        stats.settled += n_settled
-    if not found:
-        return None
-    edges: List[Tuple[int, int, int]] = []
-    node = target
-    while node not in starts:
-        edges.append((parent_node[node], node, parent_bit[node]))
-        node = parent_node[node]
-    edges.reverse()
-    return edges
-
-
-def scalar_search_timed(
-    router, request, pres_fac: float, crit: float
-) -> Optional[List[Tuple[int, int, int]]]:
-    """Timed twin of :func:`scalar_search`.
-
-    Identical search structure (same scratch arrays, same congestion
-    pricing and per-node cache, same trunk seeding), but every edge
-    is priced VPR-style as ``crit * delay + (1 - crit) * congestion``
-    with ``delay`` the DelayModel edge delay (destination-node
-    intrinsic delay plus a switch delay when the edge carries a
-    configuration bit).  The A* weight blends to ``inv_crit *
-    astar_fac + crit * wire_delay``, which is not consistent for
-    critical connections: a wire->IPIN hop adds less delay per
-    Manhattan unit (``pin_delay + switch_delay``) than
-    ``wire_delay``."""
-    rrg = router.rrg
-    target = request.sink
-    node_x = rrg.node_x
-    node_y = rrg.node_y
-    tx, ty = node_x[target], node_y[target]
-    net_salt = zlib.crc32(request.net.encode())
-    net = request.net
-    inv_crit = 1.0 - crit
-    model = router.timing.model
-    switch_delay = model.switch_delay
-    node_delay = router._node_delay
-    astar_fac = (
-        inv_crit * router.astar_fac + crit * model.wire_delay
-    )
-    stats = router.stats
-    n_pops = n_pushes = n_settled = 0
-
-    kinds = rrg.node_kind
-    caps = rrg.node_capacity
-    bases = router._base
-    hist = router._hist
-    refs_by_mode = [
-        (router._occ[mode], router._net_mode_refs.get((net, mode)))
-        for mode in request.modes
-    ]
-    net_affinity = router.net_affinity
-    use_net_affinity = net_affinity < 1.0
-    other_refs = (
-        [
-            refs
-            for mode in range(router.n_modes)
-            if mode not in request.modes
-            and (refs := router._net_mode_refs.get((net, mode)))
-        ]
-        if use_net_affinity
-        else []
-    )
-    bit_affinity = router.bit_affinity
-    other_bit_refs = (
-        [
-            router._bit_refs[mode]
-            for mode in range(router.n_modes)
-            if mode not in request.modes
-        ]
-        if bit_affinity < 1.0
-        else []
-    )
-    use_bit_affinity = bool(other_bit_refs)
-
-    row_ptr = router._row_ptr
-    edge_dst = router._edge_dst
-    edge_bit = router._edge_bit
-    dist = router._dist
-    dist_epoch = router._dist_epoch
-    visited = router._visited_epoch
-    parent_node = router._parent_node
-    parent_bit = router._parent_bit
-    price = router._price
-    price_over0 = router._price_over0
-    price_noise = router._price_noise
-    price_epoch = router._price_epoch
-    router._epoch += 1
-    epoch = router._epoch
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-
-    starts = {request.source}
-    starts.update(router._trunk_nodes(request))
-    heap: List[Tuple[float, float, int]] = []
-    for start in starts:
-        dist[start] = 0.0
-        dist_epoch[start] = epoch
-        dx = node_x[start] - tx
-        if dx < 0:
-            dx = -dx
-        dy = node_y[start] - ty
-        if dy < 0:
-            dy = -dy
-        heappush(heap, (astar_fac * (dx + dy), 0.0, start))
-    n_pushes += len(heap)
-    found = target in starts
-    while heap:
-        _f, g, node = heappop(heap)
-        n_pops += 1
-        if visited[node] == epoch:
-            continue
-        visited[node] = epoch
-        n_settled += 1
-        if node == target:
-            found = True
-            break
-        for e in range(row_ptr[node], row_ptr[node + 1]):
-            nxt = edge_dst[e]
-            if visited[nxt] == epoch:
-                continue
-            # Congestion price: same per-node cache and the same
-            # arithmetic as the untimed loop.
-            if price_epoch[nxt] == epoch:
-                cost = price[nxt]
-                overuse_zero = price_over0[nxt]
-                noise = price_noise[nxt]
-            else:
-                kind = kinds[nxt]
-                if kind == _SINK and nxt != target:
-                    visited[nxt] = epoch
-                    continue
-                cap = caps[nxt]
-                overuse = 0
-                for occ, refs in refs_by_mode:
-                    occ_after = occ[nxt] + (
-                        0 if refs is not None and nxt in refs
-                        else 1
-                    )
-                    if occ_after > cap:
-                        overuse += occ_after - cap
-                cost = (bases[nxt] + hist[nxt]) * (
-                    1.0 + pres_fac * overuse
-                )
-                if (
-                    use_net_affinity
-                    and kind == _WIRE
-                    and overuse == 0
-                ):
-                    for refs in other_refs:
-                        if nxt in refs:
-                            cost *= net_affinity
-                            break
-                noise = (
-                    (net_salt ^ (nxt * 0x9E3779B9)) & 0xFFFF
-                ) / 0xFFFF
-                overuse_zero = overuse == 0
-                price[nxt] = cost
-                price_over0[nxt] = overuse_zero
-                price_noise[nxt] = noise
-                price_epoch[nxt] = epoch
-            bit = edge_bit[e]
+            # Grouped as (cost + noise) before the add to g, exactly
+            # like the production core's price lists: float addition
+            # is not associative and a one-ULP difference flips
+            # equal-cost tie-breaks.
             if use_bit_affinity and bit >= 0 and overuse_zero:
                 congestion = cost
                 for bit_refs in other_bit_refs:
@@ -419,10 +249,14 @@ def scalar_search_timed(
                 congestion += 0.01 * noise
             else:
                 congestion = cost + 0.01 * noise
-            delay = node_delay[nxt]
-            if bit >= 0:
-                delay += switch_delay
-            ng = g + (inv_crit * congestion + crit * delay)
+            if timed:
+                delay = node_delay[nxt]
+                if bit >= 0:
+                    delay += switch_delay
+                ng = g + (inv_crit * congestion + crit * delay)
+            else:
+                ng = g + congestion
+            # -------------------------------------------------------
             if dist_epoch[nxt] != epoch or ng < dist[nxt]:
                 dist[nxt] = ng
                 dist_epoch[nxt] = epoch
@@ -548,9 +382,9 @@ def heap_search_timed(
 ) -> bool:
     """Timed heap search: ``g + (inv_crit * price + crit * delay)``
     per edge with the per-push Manhattan heuristic (the
-    criticality-scaled weight defeats caching), evaluated exactly
-    as :func:`scalar_search_timed` does.  Same search graph, seeding
-    and ``pnA``/``static_set`` contract as
+    criticality-scaled weight defeats caching), evaluated exactly as
+    :func:`scalar_search` does above criticality 0.  Same search
+    graph, seeding and ``pnA``/``static_set`` contract as
     :func:`heap_search_untimed`."""
     tx, ty = node_x[target], node_y[target]
     heappush = heapq.heappush

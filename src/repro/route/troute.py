@@ -16,7 +16,7 @@ per-mode configurations and the paper's bit/wire metrics are derived.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.arch.architecture import Site
 from repro.arch.rrg import RoutingResourceGraph
@@ -193,23 +193,3 @@ def route_tunable_circuit(
         timing=timing, **router_kwargs,
     )
     return router.route(requests)
-
-
-def parameterized_routing_bits(result: RoutingResult) -> set:
-    """Routing bits that are Boolean functions of the mode (not constant).
-
-    A bit is parameterised when it is on in some modes and off in
-    others; bits on in every mode are static ones, bits on in no mode
-    are static zeros.
-    """
-    union: set = set()
-    intersection: Optional[set] = None
-    for mode in range(result.n_modes):
-        bits = result.bits_on(mode)
-        union |= bits
-        intersection = (
-            set(bits) if intersection is None else intersection & bits
-        )
-    if intersection is None:
-        return set()
-    return union - intersection

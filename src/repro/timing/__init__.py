@@ -1,20 +1,21 @@
 """Timing analysis: one criticality model for every flow layer.
 
 All timing in the flow speaks the units of one shared
-:class:`DelayModel` (LUT = 1.0).  Three instruments build on it:
+:class:`DelayModel` (LUT = 1.0) and runs on one longest-path engine,
+:class:`CriticalityAnalyzer`.  Two modules build on it:
 
-* :mod:`repro.timing.criticality` — slack-based connection
-  criticalities (arrival/required-time STA over placement-level delay
-  estimates).  This is what *drives* the timing-driven placer and
-  router: criticality-weighted delay in every annealing cost,
-  ``crit*delay + (1-crit)*congestion`` pricing in PathFinder.
-* :mod:`repro.timing.sta` — STA over the *actual routed paths*, so
-  detours the router takes (congestion avoidance, cross-mode wire
-  sharing) show up in the clock estimate.  This is what *checks* the
-  result: per-mode Fmax and the MDR:DCS frequency ratios behind the
-  abstract's "without significant performance penalties" claim.
-* :mod:`repro.place.timing` — the placement-level critical-path
-  estimator, consuming the same model.
+* :mod:`repro.timing.criticality` — the engine itself: slack-based
+  connection criticalities over placement-level delay estimates
+  (:func:`placed_arc_delays`).  This is what *drives* the
+  timing-driven placer and router: criticality-weighted delay in every
+  annealing cost, ``crit*delay + (1-crit)*congestion`` pricing in
+  PathFinder.
+* :mod:`repro.timing.sta` — arc delays over the *actual routed
+  paths*, so detours the router takes (congestion avoidance,
+  cross-mode wire sharing) show up in the clock estimate.  This is
+  what *checks* the result: per-mode Fmax and the MDR:DCS frequency
+  ratios behind the abstract's "without significant performance
+  penalties" claim.
 
 Exports:
 
@@ -22,12 +23,14 @@ Exports:
   programmable switch) plus the pre-route connection-delay estimate;
 * :class:`CriticalityConfig` / :class:`CriticalityAnalyzer` — the
   criticality subsystem's knobs and STA engine;
+* :func:`placed_arc_delays` — the pre-route estimate of every arc;
 * :func:`net_delay_tree` / :func:`connection_delays_for_mode` — signal
   arrival along the routed route trees;
 * :func:`mdr_arc_delays` / :func:`dcs_arc_delays` — map routed delays
   back onto logical connections of a mode circuit;
 * :func:`routed_critical_path` — longest register-to-register or
-  IO-to-IO path, with the cell trace of the worst path;
+  IO-to-IO path under routed or placed arc delays, with the cell
+  trace of the worst path;
 * :func:`timing_comparison` — per-mode MDR vs DCS critical-path ratio.
 """
 
@@ -36,6 +39,7 @@ from repro.timing.criticality import (
     CriticalityConfig,
     CriticalityReport,
     lut_connection_criticalities,
+    placed_arc_delays,
     sharpen,
     tunable_connection_criticalities,
 )
@@ -61,6 +65,7 @@ __all__ = [
     "lut_connection_criticalities",
     "mdr_arc_delays",
     "net_delay_tree",
+    "placed_arc_delays",
     "routed_critical_path",
     "sharpen",
     "timing_comparison",

@@ -34,10 +34,12 @@ Definitions (per analysed mode circuit):
   exponent of 0 (or below) turns the timing term off entirely, so the
   flow degrades to pure wire-length/congestion optimisation.
 
-Connection delays are *estimates* — :meth:`DelayModel
-.connection_delay` over the Manhattan distance of the placed endpoints
-— which is what lets the same analysis run before routing exists.  The
-routed truth is checked afterwards by :mod:`repro.timing.sta`.
+Connection delays are *estimates* — :func:`placed_arc_delays`, the
+:meth:`DelayModel.connection_delay` of each arc's placed Manhattan
+span — which is what lets the same analysis run before routing exists.
+:class:`CriticalityAnalyzer` is the flow's only longest-path engine:
+:func:`repro.timing.sta.routed_critical_path` runs it over routed (or
+placed) arc delays to report a mode's critical path and Fmax.
 """
 
 from __future__ import annotations
@@ -49,17 +51,18 @@ from typing import (
     Dict,
     List,
     Mapping,
+    Optional,
     Sequence,
     Tuple,
 )
 
+from repro.arch.architecture import Site
 from repro.netlist.lutcircuit import LutCircuit
 from repro.place.placer import pad_cell
 from repro.timing.delay import DelayModel
 
 #: An arc key: (driving signal, sink cell) — the sink cell is a block
-#: name or ``pad:<signal>`` for primary outputs (same convention as
-#: :mod:`repro.timing.sta`).
+#: name or ``pad:<signal>`` for primary outputs.
 ArcKey = Tuple[str, str]
 
 _INF = float("inf")
@@ -114,11 +117,15 @@ class CriticalityReport:
     The lists are aligned with :attr:`CriticalityAnalyzer.arcs`.
     ``criticality`` is clamped but *not* sharpened — apply
     :func:`sharpen` (or :meth:`CriticalityConfig.sharpen`) to weight.
+    ``arrival`` is the arrival time at each arc's sink pin and
+    ``block_arrival`` each block's output arrival (after its LUT).
     """
 
     max_delay: float
     slack: List[float]
     criticality: List[float]
+    arrival: List[float]
+    block_arrival: Dict[str, float]
 
     def by_arc(
         self, arcs: Sequence[ArcKey]
@@ -153,11 +160,18 @@ class CriticalityAnalyzer:
             block = blocks.get(signal)
             return block is None or block.registered
 
+        #: Index of each block's first input arc.
+        self._first_arc: Dict[str, int] = {}
         for block in self._order:
+            self._first_arc[block.name] = len(self.arcs)
             for src in block.inputs:
                 self.arcs.append((src, block.name))
                 self._launch.append(is_launch(src))
         self._n_block_arcs = len(self.arcs)
+        #: Capture points: registered blocks plus primary outputs.
+        self.n_endpoints = sum(
+            1 for block in self._order if block.registered
+        ) + len(circuit.outputs)
         for out in circuit.outputs:
             self.arcs.append((out, pad_cell(out)))
             self._launch.append(is_launch(out))
@@ -251,8 +265,55 @@ class CriticalityAnalyzer:
         else:
             crit = [0.0] * len(arcs)
         return CriticalityReport(
-            max_delay=max_delay, slack=slack, criticality=crit
+            max_delay=max_delay, slack=slack, criticality=crit,
+            arrival=arrive_at, block_arrival=arrival_out,
         )
+
+    def critical_path(
+        self, report: CriticalityReport
+    ) -> Tuple[str, ...]:
+        """Cells of *report*'s worst path, launch point first.
+
+        Walks back over the report's arrivals.  The endpoint is the
+        first strictly latest capture point, scanning registered
+        blocks in topological order, then primary outputs (an output
+        names its driving signal).  Each block's predecessor is its
+        first input with the strictly latest arrival above 0.0; the
+        walk stops at a launch point (a primary input or a registered
+        block other than the endpoint).
+        """
+        arcs = self.arcs
+        arrival = report.arrival
+        worst = 0.0
+        cell: Optional[str] = None
+        end_is_launch = False
+        for block in self._order:
+            t = report.block_arrival[block.name]
+            if block.registered and t > worst:
+                worst, cell = t, block.name
+        for i in range(self._n_block_arcs, len(arcs)):
+            if arrival[i] > worst:
+                worst, cell = arrival[i], arcs[i][0]
+                end_is_launch = self._launch[i]
+        blocks = self.circuit.blocks
+        path: List[str] = []
+        seen = set()
+        while cell is not None and cell not in seen:
+            seen.add(cell)
+            path.append(cell)
+            if end_is_launch:
+                break
+            block = blocks.get(cell)
+            if block is None or block.registered and len(path) > 1:
+                break
+            t = 0.0
+            cell = None
+            first = self._first_arc[block.name]
+            for i in range(first, first + len(block.inputs)):
+                if arrival[i] > t:
+                    t, cell = arrival[i], arcs[i][0]
+        path.reverse()
+        return tuple(path)
 
 
 class PlacementTimingCost:
@@ -422,8 +483,40 @@ class PlacementTimingCost:
 
 
 # ---------------------------------------------------------------------------
-# Router-facing adapters
+# Placed delay estimates and the router-facing adapters
 # ---------------------------------------------------------------------------
+
+
+def placed_arc_delays(
+    circuit: LutCircuit,
+    cell_sites: Mapping[str, Site],
+    model: Optional[DelayModel] = None,
+) -> Dict[ArcKey, float]:
+    """Pre-route delay estimate of every arc of *circuit*.
+
+    *cell_sites* maps every cell — block names and ``pad:<signal>``
+    cells — to its site.  Each arc gets the
+    :meth:`~repro.timing.delay.DelayModel.connection_delay` of its
+    endpoints' Manhattan span, a lower bound of its routed delay.
+    :func:`repro.timing.sta.routed_critical_path` over these delays is
+    the placed critical path.
+    """
+    model = model or DelayModel()
+    blocks = circuit.blocks
+    arcs = [
+        (src, block.name)
+        for block in blocks.values()
+        for src in block.inputs
+    ]
+    arcs += [(out, pad_cell(out)) for out in circuit.outputs]
+    delays: Dict[ArcKey, float] = {}
+    for signal, sink_cell in arcs:
+        a = cell_sites[signal if signal in blocks else pad_cell(signal)]
+        b = cell_sites[sink_cell]
+        delays[(signal, sink_cell)] = model.connection_delay(
+            abs(a.x - b.x) + abs(a.y - b.y)
+        )
+    return delays
 
 
 def lut_connection_criticalities(
@@ -444,18 +537,10 @@ def lut_connection_criticalities(
     """
     analyzer = CriticalityAnalyzer(circuit)
     sites = placement.sites
-    blocks = circuit.blocks
-    delays = []
-    for signal, sink_cell in analyzer.arcs:
-        src_cell = signal if signal in blocks else pad_cell(signal)
-        a = sites[src_cell]
-        b = sites[sink_cell]
-        delays.append(
-            config.model.connection_delay(
-                abs(a.x - b.x) + abs(a.y - b.y)
-            )
-        )
-    report = analyzer.analyze(delays, config.model.lut_delay)
+    delays = placed_arc_delays(circuit, sites, config.model)
+    report = analyzer.analyze(
+        [delays[arc] for arc in analyzer.arcs], config.model.lut_delay
+    )
     cap = config.max_criticality
     crit: Dict[Tuple[str, int], float] = {}
     for (signal, sink_cell), c in zip(
@@ -489,6 +574,23 @@ def tunable_carriers(tunable) -> Dict[Tuple[int, str], str]:
     return carriers
 
 
+def tunable_cell_sites(tunable) -> List[Dict[str, Site]]:
+    """Per mode, the site of every cell of ``tunable.specialize(mode)``.
+
+    A block sits on its Tunable LUT's site and a pad cell on its
+    tunable pad's, so :func:`placed_arc_delays` over one mode's map
+    estimates that mode inside the merged placement.  Raises
+    ``ValueError`` when a tunable cell has no site.
+    """
+    sites = tunable.sites()
+    per_mode: List[Dict[str, Site]] = [
+        {} for _ in range(tunable.n_modes)
+    ]
+    for (mode, cell), carrier in tunable_carriers(tunable).items():
+        per_mode[mode][cell] = sites[carrier]
+    return per_mode
+
+
 def tunable_connection_criticalities(
     tunable,
     rrg,
@@ -504,46 +606,27 @@ def tunable_connection_criticalities(
     mode must satisfy the critical one).
     """
     carriers = tunable_carriers(tunable)
-    sites: Dict[str, Any] = {}
-    for name, tlut in tunable.tluts.items():
-        if tlut.site is None:
-            raise ValueError(f"tunable LUT {name} has no site")
-        sites[name] = tlut.site
-    for name, pad in tunable.pads.items():
-        if pad.site is None:
-            raise ValueError(f"tunable pad {name} has no site")
-        sites[name] = pad.site
-
     cap = config.max_criticality
     crit: Dict[Tuple[str, int], float] = {}
-    for mode in range(tunable.n_modes):
+    for mode, sites in enumerate(tunable_cell_sites(tunable)):
         circuit = tunable.specialize(mode)
         analyzer = CriticalityAnalyzer(circuit)
+        delays = placed_arc_delays(circuit, sites, config.model)
+        report = analyzer.analyze(
+            [delays[arc] for arc in analyzer.arcs],
+            config.model.lut_delay,
+        )
         blocks = circuit.blocks
-        delays = []
-        endpoints = []
-        for signal, sink_cell in analyzer.arcs:
+        for (signal, sink_cell), c in zip(
+            analyzer.arcs, report.criticality
+        ):
             src_cell = (
                 signal if signal in blocks else pad_cell(signal)
             )
-            src = sites[carriers[(mode, src_cell)]]
-            snk_carrier = carriers[(mode, sink_cell)]
-            snk = sites[snk_carrier]
-            delays.append(
-                config.model.connection_delay(
-                    abs(src.x - snk.x) + abs(src.y - snk.y)
-                )
+            key = (
+                carriers[(mode, src_cell)],
+                rrg.sink_node(sites[sink_cell]),
             )
-            endpoints.append(
-                (carriers[(mode, src_cell)], snk_carrier)
-            )
-        report = analyzer.analyze(
-            delays, config.model.lut_delay
-        )
-        for (src_carrier, snk_carrier), c in zip(
-            endpoints, report.criticality
-        ):
-            key = (src_carrier, rrg.sink_node(sites[snk_carrier]))
             weight = config.sharpen(min(c, cap))
             if weight > crit.get(key, 0.0):
                 crit[key] = weight

@@ -1,8 +1,7 @@
 """Delay model for routing-resource-graph paths.
 
 Delays are in arbitrary units chosen so that one LUT evaluation costs
-1.0, matching the placement-level estimator
-(:mod:`repro.place.timing`).  A routed connection's delay is the sum of
+1.0.  A routed connection's delay is the sum of
 
 * one ``pin_delay`` per OPIN/IPIN crossed,
 * one ``wire_delay`` per unit-length channel segment crossed,
@@ -11,11 +10,10 @@ Delays are in arbitrary units chosen so that one LUT evaluation costs
 
 :meth:`DelayModel.connection_delay` is the *pre-route* estimate of the
 same quantity — one OPIN and one IPIN crossing plus one unit wire
-behind one switch per Manhattan tile — so the placement-level
-estimator (:mod:`repro.place.timing`), the timing-driven placer and
-router (:mod:`repro.timing.criticality`), and the routed STA
-(:mod:`repro.timing.sta`) all speak the same units: one model, every
-layer.
+behind one switch per Manhattan tile — so the placed estimate and the
+timing-driven placer and router (:mod:`repro.timing.criticality`) and
+the routed STA (:mod:`repro.timing.sta`) all speak the same units:
+one model, every layer.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 Arrival times propagate along the *routed* paths: every net's routes
 (for the analysed mode) are united into a route tree and signal delay
 to each sink is the cheapest tree path from the net's source, under a
-:class:`~repro.timing.delay.DelayModel`.  The logical analysis then
-walks the mode circuit in topological order exactly like the
-placement-level estimator, but with real interconnect delays.
+:class:`~repro.timing.delay.DelayModel`.  The logical analysis is the
+criticality subsystem's :class:`~repro.timing.criticality
+.CriticalityAnalyzer`, run over those real interconnect delays — or
+over :func:`~repro.timing.criticality.placed_arc_delays` for the
+pre-route estimate.
 
 Launch/capture points follow the usual FPGA STA convention: primary
 inputs and flip-flop outputs launch at t=0; flip-flop inputs and
@@ -21,16 +23,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.netlist.lutcircuit import LutCircuit
 from repro.place.placer import Placement, pad_cell
 from repro.route.router import RoutingResult
+from repro.timing.criticality import ArcKey, CriticalityAnalyzer
 from repro.timing.delay import DelayModel
-
-#: An arc key: (driving signal, sink cell).  The sink cell is a block
-#: name for block inputs or ``pad:<signal>`` for primary outputs.
-ArcKey = Tuple[str, str]
 
 
 @dataclass(frozen=True)
 class StaReport:
-    """Routed critical path of one mode circuit."""
+    """Critical path of one mode circuit (routed or placed)."""
 
     critical_delay: float
     n_endpoints: int
@@ -182,12 +181,7 @@ def dcs_arc_delays(
             return None if member is None else member.name
         return tunable.pads[cell].signals.get(mode)
 
-    sites = {
-        name: tlut.site for name, tlut in tunable.tluts.items()
-    }
-    sites.update(
-        (name, pad.site) for name, pad in tunable.pads.items()
-    )
+    sites = tunable.sites()
     arcs: Dict[ArcKey, float] = {}
     for conn in tunable.connections:
         if mode not in conn.activation.modes:
@@ -214,85 +208,29 @@ def routed_critical_path(
     arcs: Mapping[ArcKey, float],
     model: Optional[DelayModel] = None,
 ) -> StaReport:
-    """Longest path of *circuit* under routed arc delays.
+    """Longest path of *circuit* under the given arc delays.
 
     *arcs* must cover every connection of the circuit (block inputs
-    and primary-output taps); :func:`mdr_arc_delays` and
-    :func:`dcs_arc_delays` produce exactly that.
+    and primary-output taps): :func:`mdr_arc_delays` and
+    :func:`dcs_arc_delays` give routed delays,
+    :func:`~repro.timing.criticality.placed_arc_delays` the pre-route
+    estimate.  Only ``model.lut_delay`` is read here.
     """
     model = model or DelayModel()
-    arrival: Dict[str, float] = {}
-    best_pred: Dict[str, Optional[str]] = {}
-
-    def launch(signal: str) -> Optional[float]:
-        """Arrival of *signal* at its driver's output, or None when
-        the signal is combinationally driven (use ``arrival``)."""
-        block = circuit.blocks.get(signal)
-        if block is None or block.registered:
-            return 0.0
-        return None
-
-    def arc_delay(signal: str, sink_cell: str) -> float:
+    analyzer = CriticalityAnalyzer(circuit)
+    delays = []
+    for signal, sink_cell in analyzer.arcs:
         try:
-            return arcs[(signal, sink_cell)]
+            delays.append(arcs[(signal, sink_cell)])
         except KeyError:
             raise KeyError(
                 f"no routed arc for connection {signal} -> {sink_cell}"
             ) from None
-
-    worst = 0.0
-    worst_end: Optional[str] = None
-    worst_is_launch = False
-    n_endpoints = 0
-    for block in circuit.topological_blocks():
-        t = 0.0
-        pred: Optional[str] = None
-        for src in block.inputs:
-            base = launch(src)
-            if base is None:
-                base = arrival[src]
-            candidate = base + arc_delay(src, block.name)
-            if candidate > t:
-                t, pred = candidate, src
-        t += model.lut_delay
-        arrival[block.name] = t
-        best_pred[block.name] = pred
-        if block.registered:
-            n_endpoints += 1
-            if t > worst:
-                worst, worst_end = t, block.name
-                worst_is_launch = False
-    for out in circuit.outputs:
-        base = launch(out)
-        is_launch = base is not None
-        if base is None:
-            base = arrival[out]
-        t = base + arc_delay(out, pad_cell(out))
-        n_endpoints += 1
-        if t > worst:
-            # The trace starts at the driving cell; a registered or
-            # primary-input driver terminates the walk immediately.
-            worst, worst_end, worst_is_launch = t, out, is_launch
-
-    # Reconstruct the worst path by walking predecessors until a
-    # launch point (registered block or primary input).
-    path: List[str] = []
-    cell = worst_end
-    seen = set()
-    while cell is not None and cell not in seen:
-        seen.add(cell)
-        path.append(cell)
-        if worst_is_launch:
-            break
-        block = circuit.blocks.get(cell)
-        if block is None or block.registered and len(path) > 1:
-            break
-        cell = best_pred.get(cell)
-    path.reverse()
+    report = analyzer.analyze(delays, model.lut_delay)
     return StaReport(
-        critical_delay=worst,
-        n_endpoints=n_endpoints,
-        critical_path=tuple(path),
+        critical_delay=report.max_delay,
+        n_endpoints=analyzer.n_endpoints,
+        critical_path=analyzer.critical_path(report),
     )
 
 
@@ -326,7 +264,8 @@ def timing_comparison(
     """Pair up per-mode reports of both flows (Fig. 7 companion).
 
     A mean ratio near 1.0 substantiates the abstract's "without
-    significant performance penalties".
+    significant performance penalties"; routed and placed reports
+    compare alike.
     """
     if len(mdr_reports) != len(dcs_reports) or not mdr_reports:
         raise ValueError("need one report per mode for both flows")

@@ -4,8 +4,8 @@ The DCS tool flow expresses every parameterised configuration bit as a
 Boolean function of the mode bits (paper Fig. 4: e.g. ``m0.1 + ~m0.0``
 simplifies to ``m0``).  Internally the flow stores these functions as
 *on-sets* over mode indices; this module turns an on-set into a minimal
-sum-of-products for reporting, bitstream metadata and the reconfiguration
-manager's evaluation tables.
+sum-of-products for reporting and the reconfiguration manager's
+evaluation tables.
 
 The number of mode bits is tiny (a multi-mode circuit has a handful of
 modes), so exact Quine–McCluskey with a greedy-plus-exact cover is more

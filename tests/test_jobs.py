@@ -10,6 +10,7 @@ submission-order results, incremental ``on_result``, first-failure-wins
 import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -43,6 +44,13 @@ def _sleepy_square(x, seconds=0.05):
 
 def _pid(_x):
     return os.getpid()
+
+
+def _killed_at_one(x):
+    """Job 1 kills its worker process, as an OOM kill or crash would."""
+    if x == 1:
+        os._exit(1)
+    return x * x
 
 
 def make_executor(kind, workers=2):
@@ -286,3 +294,48 @@ class TestRunTasks:
         assert resolve_workers(3) == 3
         monkeypatch.setenv("REPRO_WORKERS", "5")
         assert resolve_workers(None) == 5
+
+
+# ---------------------------------------------------------------------------
+# a worker process killed mid-job
+# ---------------------------------------------------------------------------
+
+
+class TestKilledWorker:
+    """A killed worker breaks its process pool; every job must still
+    reach a terminal state and awaiting callers must not hang."""
+
+    def test_every_job_ends_terminal(self):
+        graph = JobGraph(ProcessJobExecutor(2))
+        try:
+            jobs = [graph.submit(_killed_at_one, i) for i in range(6)]
+            assert graph.drain(timeout=10) is True
+            assert [job.state.terminal for job in jobs] == [True] * 6
+            assert graph.stats()["running"] == 0
+            assert graph.stats()["pending"] == 0
+            # Which other jobs finish before the pool notices the
+            # dead worker is a race; the killed job always fails.
+            assert jobs[1].state is JobState.FAILED
+            with pytest.raises(BrokenProcessPool):
+                jobs[1].result()
+        finally:
+            graph.shutdown()
+
+    def test_run_tasks_raises_promptly(self, monkeypatch):
+        # Force a real pool even on a 1-CPU machine: run inline, job 1
+        # would kill the test process itself.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tasks = [Task(_killed_at_one, (i,)) for i in range(6)]
+        raised = []
+
+        def run():
+            try:
+                run_tasks(tasks, workers=2)
+            except BrokenProcessPool as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10)
+        assert not runner.is_alive()
+        assert len(raised) == 1

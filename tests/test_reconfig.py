@@ -6,7 +6,6 @@ from repro.arch.architecture import FpgaArchitecture
 from repro.arch.rrg import build_rrg
 from repro.core.reconfig import (
     ReconfigCost,
-    dcs_cost,
     diff_cost,
     mdr_cost,
     speedup,
@@ -47,10 +46,6 @@ class TestCosts:
         assert cost.lut_bits == self.arch.total_lut_bits()
         assert cost.routing_bits == 3  # {1, 2, 4}
 
-    def test_dcs_same_arithmetic_as_diff(self):
-        bits = [{1, 2}, {2, 5}]
-        assert dcs_cost(self.arch, bits) == diff_cost(self.arch, bits)
-
     def test_ordering_invariant(self):
         """MDR >= Diff always (Diff counts a subset of region bits)."""
         mdr = mdr_cost(self.arch, self.rrg)
@@ -66,4 +61,3 @@ class TestCosts:
         a = ReconfigCost(10, 10)
         with pytest.raises(ValueError):
             speedup(a, ReconfigCost(0, 0))
-

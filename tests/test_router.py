@@ -19,7 +19,6 @@ from repro.route.router import (
     RoutingError,
 )
 from repro.route.troute import (
-    parameterized_routing_bits,
     requests_from_connections,
     route_lut_circuit,
 )
@@ -137,7 +136,7 @@ class TestMultiMode:
                          g.clb_sink[(3, 3)], frozenset((0, 1))),
         ]
         result = PathFinderRouter(g, n_modes=2).route(reqs)
-        assert parameterized_routing_bits(result) == set()
+        assert result.parameterized_bits() == set()
         assert result.bits_on(0) == result.bits_on(1)
 
     def test_mode_specific_bits_are_parameterized(self, fabric):
@@ -149,7 +148,7 @@ class TestMultiMode:
                          g.clb_sink[(3, 2)], frozenset((1,))),
         ]
         result = PathFinderRouter(g, n_modes=2).route(reqs)
-        params = parameterized_routing_bits(result)
+        params = result.parameterized_bits()
         assert params == result.bits_on(0) ^ result.bits_on(1)
         assert params
 
@@ -334,7 +333,7 @@ class TestBitSharing:
             g, n_modes=2, bit_affinity=0.3, sharing_passes=3
         )
         result = router.route(reqs)
-        assert parameterized_routing_bits(result) == set()
+        assert result.parameterized_bits() == set()
 
     def test_sharing_never_increases_param_bits(self, fabric):
         """Same workload with and without sharing passes: the sweeps
@@ -355,8 +354,8 @@ class TestBitSharing:
         swept = PathFinderRouter(
             g, n_modes=2, bit_affinity=0.3, sharing_passes=3
         ).route(reqs)
-        assert len(parameterized_routing_bits(swept)) <= len(
-            parameterized_routing_bits(base)
+        assert len(swept.parameterized_bits()) <= len(
+            base.parameterized_bits()
         )
 
     def test_sharing_passes_keep_legality(self, fabric):
@@ -392,7 +391,7 @@ class TestBitSharing:
             g, n_modes=2, bit_affinity=0.3, sharing_passes=3
         )
         result = router.route(reqs)
-        assert parameterized_routing_bits(result) == set()
+        assert result.parameterized_bits() == set()
 
     def test_rebuild_state_roundtrip(self, fabric):
         """_rebuild_state reproduces occupancy exactly."""

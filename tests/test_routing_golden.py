@@ -1,15 +1,22 @@
-"""Golden digests of the PathFinder router.
+"""Golden digests of the PathFinder router and of the timing numbers.
 
-Each case routes the tiny pair of every generator family and hashes
-the outcome: every connection's ``(conn_id, net, sorted(modes),
-edges)``, sorted, plus the negotiation's iteration count.  The
-literals below were recorded before the batched core, the router
-lookahead and partial rip-up were deleted; the router must reproduce
-them bit for bit, so any drift in a route (a tie-break, a float
-grouping, a search-graph pruning that changes a decision) fails here,
-not only in the benchmark digest.  ``tests/test_router_equivalence.py``
-separately keeps the scalar reference and the production core in
-lockstep.
+Each routing case routes the tiny pair of every generator family and
+hashes the outcome: every connection's ``(conn_id, net,
+sorted(modes), edges)``, sorted, plus the negotiation's iteration
+count.  Those literals were recorded before the batched core, the
+router lookahead and partial rip-up were deleted; the router must
+reproduce them bit for bit, so any drift in a route (a tie-break, a
+float grouping, a search-graph pruning that changes a decision) fails
+here, not only in the benchmark digest.
+``tests/test_router_equivalence.py`` separately keeps the scalar
+reference and the production core in lockstep.
+
+The ``sta`` cases hash, on the same runs, every mode's routed MDR and
+DCS report ``(critical_delay, n_endpoints, critical_path)``, its
+placed critical delay and the sorted criticality maps of both router
+adapters.  Their literals were recorded while the placed estimate and
+the routed STA still had longest-path loops of their own, before both
+moved onto ``CriticalityAnalyzer``.
 """
 
 import hashlib
@@ -25,7 +32,17 @@ from repro.gen.spec import build_circuit
 from repro.gen.suites import suite_pair_specs
 from repro.place.placer import place_circuit
 from repro.route.troute import route_lut_circuit, route_tunable_circuit
-from repro.timing.criticality import tunable_connection_criticalities
+from repro.timing.criticality import (
+    lut_connection_criticalities,
+    placed_arc_delays,
+    tunable_cell_sites,
+    tunable_connection_criticalities,
+)
+from repro.timing.sta import (
+    dcs_arc_delays,
+    mdr_arc_delays,
+    routed_critical_path,
+)
 
 FAMILIES = ("datapath", "fsm", "xbar", "klut")
 OPTIONS = FlowOptions(seed=0, inner_num=0.1)
@@ -69,8 +86,8 @@ def digest(results):
     return h.hexdigest()
 
 
-def mdr_case(timing):
-    out = []
+def _mdr_runs(timing):
+    """Place and route every mode of every family separately."""
     schedule = OPTIONS.schedule()
     for family in FAMILIES:
         _name, modes, arch, rrg = _pair(family)
@@ -78,35 +95,82 @@ def mdr_case(timing):
             placement = place_circuit(
                 circuit, arch, seed=mode, schedule=schedule
             )
-            out.append(
-                route_lut_circuit(circuit, placement, rrg, timing=timing)
+            routing = route_lut_circuit(
+                circuit, placement, rrg, timing=timing
             )
-    return digest(out)
+            yield rrg, mode, circuit, placement, routing
 
 
-def troute_case(timing):
-    out = []
+def _troute_runs(timing):
+    """Merge every family's pair and route it with TRoute; the
+    criticality map is always built, and used only when timed."""
     for family in FAMILIES:
         name, modes, arch, rrg = _pair(family)
         tunable, _ = merge_with_combined_placement(
             name, modes, arch, strategy=MergeStrategy.WIRE_LENGTH,
             seed=0, schedule=OPTIONS.schedule(),
         )
-        criticality = (
-            tunable_connection_criticalities(tunable, rrg, timing)
-            if timing is not None else None
+        criticality = tunable_connection_criticalities(
+            tunable, rrg, TIMING
         )
-        out.append(route_tunable_circuit(
+        routing = route_tunable_circuit(
             rrg,
             tunable.site_connections(),
             len(modes),
             net_affinity=OPTIONS.net_affinity,
             bit_affinity=OPTIONS.bit_affinity,
             sharing_passes=OPTIONS.sharing_passes,
-            criticality=criticality,
+            criticality=criticality if timing is not None else None,
             delay_model=timing.model if timing is not None else None,
-        ))
-    return digest(out)
+        )
+        yield rrg, tunable, criticality, routing
+
+
+def mdr_case(timing):
+    return digest(run[-1] for run in _mdr_runs(timing))
+
+
+def troute_case(timing):
+    return digest(run[-1] for run in _troute_runs(timing))
+
+
+def _report(report):
+    return (
+        report.critical_delay, report.n_endpoints, report.critical_path
+    )
+
+
+def sta_case(timing):
+    """One SHA-256 over every mode's timing: the routed MDR and DCS
+    reports, the placed critical delays and the sorted criticality
+    maps of both router adapters."""
+    h = hashlib.sha256()
+    for rrg, mode, circuit, placement, routing in _mdr_runs(timing):
+        routed = routed_critical_path(
+            circuit, mdr_arc_delays(circuit, placement, routing)
+        )
+        placed = routed_critical_path(
+            circuit, placed_arc_delays(circuit, placement.sites)
+        ).critical_delay
+        crit = lut_connection_criticalities(
+            circuit, placement, rrg, TIMING, mode
+        )
+        h.update(
+            repr((_report(routed), placed, sorted(crit.items())))
+            .encode()
+        )
+    for _rrg, tunable, crit, routing in _troute_runs(timing):
+        for mode, sites in enumerate(tunable_cell_sites(tunable)):
+            circuit = tunable.specialize(mode)
+            routed = routed_critical_path(
+                circuit, dcs_arc_delays(tunable, routing, mode)
+            )
+            placed = routed_critical_path(
+                circuit, placed_arc_delays(circuit, sites)
+            ).critical_delay
+            h.update(repr((_report(routed), placed)).encode())
+        h.update(repr(sorted(crit.items())).encode())
+    return h.hexdigest()
 
 
 CASES = {
@@ -114,6 +178,8 @@ CASES = {
     "mdr-timed": lambda: mdr_case(TIMING),
     "troute": lambda: troute_case(None),
     "troute-timed": lambda: troute_case(TIMING),
+    "sta": lambda: sta_case(None),
+    "sta-timed": lambda: sta_case(TIMING),
 }
 
 GOLDEN = {
@@ -128,6 +194,12 @@ GOLDEN = {
     ),
     "troute-timed": (
         "0c1eb83eba0cb781bed79ac83c979a6d810f0feae5f92fc5e619a8dbd7cf6716"
+    ),
+    "sta": (
+        "644937709a6d4012644bb340cf330ad80fa5e0cecfc24c089f8cd2d498c316d5"
+    ),
+    "sta-timed": (
+        "452a12c1014fd3ec6e01acb9a2e1386afb181ab273db36d536716057ea858e8c"
     ),
 }
 

@@ -7,7 +7,6 @@ from repro.arch.rrg import build_rrg
 from repro.netlist.lutcircuit import LutCircuit
 from repro.netlist.truthtable import TruthTable
 from repro.place.placer import place_circuit
-from repro.place.timing import mdr_timing
 from repro.route.router import PathFinderRouter, RouteRequest
 from repro.route.troute import route_lut_circuit
 from repro.timing import (
@@ -16,6 +15,7 @@ from repro.timing import (
     dcs_arc_delays,
     mdr_arc_delays,
     net_delay_tree,
+    placed_arc_delays,
     routed_critical_path,
     timing_comparison,
 )
@@ -231,7 +231,9 @@ class TestRoutedCriticalPath:
         routed = routed_critical_path(
             circuit, mdr_arc_delays(circuit, placement, routing)
         )
-        placed = mdr_timing(circuit, placement)
+        placed = routed_critical_path(
+            circuit, placed_arc_delays(circuit, placement.sites)
+        )
         # The router can only add detours on top of Manhattan distance.
         assert routed.critical_delay >= 0.6 * placed.critical_delay
 

@@ -10,7 +10,6 @@ from repro.place.cost import total_cost
 from repro.place.placer import pad_cell, place_circuit
 from repro.route.troute import (
     lut_circuit_connections,
-    parameterized_routing_bits,
     route_tunable_circuit,
 )
 
@@ -92,7 +91,7 @@ class TestRouteTunableCircuit:
         ]
         result = route_tunable_circuit(rrg, conns, 2)
         assert len(result.routes) == 3
-        params = parameterized_routing_bits(result)
+        params = result.parameterized_bits()
         # The shared connection alone is static; the two
         # mode-specific ones are parameterised unless they overlap.
         assert params == result.bits_on(0) ^ result.bits_on(1)
@@ -104,7 +103,7 @@ class TestRouteTunableCircuit:
         result = route_tunable_circuit(
             rrg, [("n", a, b, frozenset((0,)))], 1
         )
-        assert parameterized_routing_bits(result) == set()
+        assert result.parameterized_bits() == set()
 
 
 class TestCostHelpers:

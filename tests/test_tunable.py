@@ -75,7 +75,7 @@ class TestTunableLut:
         assert aligned.n_vars == 4
         assert aligned.support() == [0]
 
-    def test_parameterized_bit_count(self):
+    def test_n_parameterized_bits(self):
         t = TunableLut("t", k=2, n_modes=2)
         t.add_member(0, lut_and())
         t.add_member(1, lut_or())
