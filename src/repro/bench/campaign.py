@@ -84,6 +84,7 @@ SUMMARY_SCHEMA_VERSION = 1
 #: CI runners are noisy; the deterministic metrics carry the gate).
 DEFAULT_TOLERANCES = {
     "wirelength": 0.05,
+    "param_bits": 0.01,
     "fmax": 0.05,
     "speedup": 0.10,
     "runtime_factor": 5.0,
@@ -676,9 +677,12 @@ def qor_metrics(
 ) -> Dict[str, Dict[str, object]]:
     """Deterministic aggregates per ``suite/variant`` group.
 
-    Wirelengths are summed (regressions anywhere in the group move
-    the total); Fmax, speed-up and the MDR:DCS frequency ratio are
-    means over every mode of every run.
+    Wirelengths and the DCS parameterised routing bits are summed
+    (regressions anywhere in the group move the total); Fmax,
+    speed-up and the MDR:DCS frequency ratio are means over every
+    mode of every run.  Every DCS metric reads the same strategy: wire
+    length when the record has it.  A record without
+    ``routing_bits`` (hand-built in tests) counts 0 bits.
     """
     groups: Dict[str, Dict[str, list]] = {}
     for record in records:
@@ -686,8 +690,9 @@ def qor_metrics(
         group = groups.setdefault(
             key,
             {
-                "mdr_wl": [], "dcs_wl": [], "speedup": [],
-                "mdr_fmax": [], "dcs_fmax": [], "freq_ratio": [],
+                "mdr_wl": [], "dcs_wl": [], "dcs_bits": [],
+                "speedup": [], "mdr_fmax": [], "dcs_fmax": [],
+                "freq_ratio": [],
             },
         )
         group["mdr_wl"].extend(record["mdr"]["wirelength"])
@@ -696,6 +701,7 @@ def qor_metrics(
             iter(record["dcs"].values())
         )
         group["dcs_wl"].extend(dcs["wirelength"])
+        group["dcs_bits"].append(dcs.get("routing_bits", 0))
         group["dcs_fmax"].extend(dcs["fmax"])
         group["speedup"].append(dcs["speedup"])
         group["freq_ratio"].extend(dcs["frequency_ratios"])
@@ -708,6 +714,7 @@ def qor_metrics(
             "n_runs": len(group["speedup"]),
             "mdr_wirelength": sum(group["mdr_wl"]),
             "dcs_wirelength": sum(group["dcs_wl"]),
+            "dcs_param_bits": sum(group["dcs_bits"]),
             "mean_speedup": mean(group["speedup"]),
             "mean_mdr_fmax": mean(group["mdr_fmax"]),
             "mean_dcs_fmax": mean(group["dcs_fmax"]),
@@ -796,7 +803,8 @@ def compare_to_baseline(
     """QoR-gate check; returns violation messages (empty = pass).
 
     Only *regressions* fail: wirelength totals may not grow beyond
-    ``1 + wirelength`` of the baseline, mean Fmax / speed-up may not
+    ``1 + wirelength`` of the baseline, the DCS parameterised-bit
+    total not beyond ``1 + param_bits``, mean Fmax / speed-up may not
     drop below ``1 - fmax`` / ``1 - speedup``, and wall-clock may not
     exceed ``runtime_factor`` times the baseline's.  Improvements (or
     a shrunk runtime) pass — re-baseline to lock them in.
@@ -821,14 +829,22 @@ def compare_to_baseline(
                 f"{group}: group missing from the campaign output"
             )
             continue
-        for metric in ("mdr_wirelength", "dcs_wirelength"):
-            limit = base[metric] * (1.0 + tol["wirelength"])
+        for metric, key in (
+            ("mdr_wirelength", "wirelength"),
+            ("dcs_wirelength", "wirelength"),
+            ("dcs_param_bits", "param_bits"),
+        ):
+            limit = base[metric] * (1.0 + tol[key])
             if cur[metric] > limit:
+                # Identical modes leave a zero bit total to grow from.
+                growth = (
+                    f"+{100 * (cur[metric] / base[metric] - 1):.1f}%"
+                    if base[metric] else "from 0"
+                )
                 violations.append(
                     f"{group}: {metric} regressed "
                     f"{base[metric]} -> {cur[metric]} "
-                    f"(+{100 * (cur[metric] / base[metric] - 1):.1f}%"
-                    f", tolerance +{100 * tol['wirelength']:.0f}%)"
+                    f"({growth}, tolerance +{100 * tol[key]:.0f}%)"
                 )
         for metric, key in (
             ("mean_mdr_fmax", "fmax"),

@@ -68,6 +68,7 @@ DEFAULT_MIN_HISTORY = 2
 #: reference tracks reality.
 TREND_TOLERANCES = {
     "wirelength": 0.05,
+    "param_bits": 0.01,
     "fmax": 0.05,
     "speedup": 0.10,
     "frequency_ratio": 0.05,
@@ -78,6 +79,7 @@ TREND_TOLERANCES = {
 TREND_METRICS: Dict[str, Tuple[str, bool]] = {
     "mdr_wirelength": ("wirelength", True),
     "dcs_wirelength": ("wirelength", True),
+    "dcs_param_bits": ("param_bits", True),
     "mean_speedup": ("speedup", False),
     "mean_mdr_fmax": ("fmax", False),
     "mean_dcs_fmax": ("fmax", False),

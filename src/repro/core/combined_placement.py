@@ -20,9 +20,10 @@ Two cost functions are available, matching the paper's two options:
 * ``WIRE_LENGTH`` — minimise the summed per-mode bounding-box wire
   length, the same estimator TPlace uses (the paper's novel approach).
 
-:class:`TunablePlacementProblem` implements TPlace: annealing
-refinement of an already-merged Tunable circuit, moving whole Tunable
-cells (topology fixed).
+:class:`TunablePlacementProblem` implements TPlace: annealing of an
+already-merged Tunable circuit, moving whole Tunable cells (topology
+fixed), either as a true refinement of its sites or as a re-placement
+(see :func:`tplace`).
 """
 
 from __future__ import annotations
@@ -360,9 +361,12 @@ class TunablePlacementProblem(PlacementState):
         self.logic_pool = list(range(len(tlut_names)))
         self.pad_pool = list(range(len(tlut_names), len(self.names)))
 
-        if randomize or any(
+        #: Whether the start sites were drawn at random (nothing to
+        #: refine) rather than read from the Tunable circuit.
+        self.randomized = randomize or any(
             tunable.tluts[n].site is None for n in tlut_names
-        ):
+        )
+        if self.randomized:
             site_of = (
                 self._shuffled(rng, False)[:len(tlut_names)]
                 + self._shuffled(rng, True)[:len(pad_names)]
@@ -420,16 +424,26 @@ def tplace(
     schedule: Optional[AnnealingSchedule] = None,
     randomize: bool = False,
     timing=None,
+    refine: bool = False,
 ) -> AnnealingStats:
     """Run TPlace on *tunable*; sites are updated in place.
 
-    *timing* (a ``CriticalityConfig``) makes the refinement
-    timing-driven; ``None`` is bit-identical to the historical run.
+    By default the anneal starts hot (VPR's schedule): its temperature
+    probe scrambles the sites it was given, so TPlace re-places the
+    circuit.  *refine* starts it cold from those sites instead
+    (:func:`repro.place.annealing.anneal`), which pays off only when
+    they already optimise TPlace's own cost — the wire-length combined
+    placement's.  A start drawn at random (*randomize*, or a Tunable
+    LUT without a site) is never refined.  *timing* (a
+    ``CriticalityConfig``) makes the anneal timing-driven; ``None`` is
+    bit-identical to the historical run.
     """
     rng = make_rng(seed, "tplace")
     problem = TunablePlacementProblem(
         tunable, arch, rng, randomize=randomize, timing=timing
     )
-    stats = anneal(problem, rng, schedule)
+    stats = anneal(
+        problem, rng, schedule, refine=refine and not problem.randomized
+    )
     problem.apply_to_tunable()
     return stats

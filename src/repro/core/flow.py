@@ -84,8 +84,11 @@ class FlowOptions:
     #: Extra TRoute sweeps after congestion is resolved that reroute
     #: every net with the sharing discounts active, keeping the legal
     #: result with the fewest parameterised bits.  Sweeps stop early
-    #: when a sweep no longer improves.
-    sharing_passes: int = 3
+    #: when a sweep no longer improves.  One sweep by default: with the
+    #: wire-length combined placement refined rather than re-placed
+    #: by TPlace, a second and third sweep mostly return the routes
+    #: the connections already had.
+    sharing_passes: int = 1
     #: Channel sizing when ``channel_width`` is None: ``"estimate"``
     #: derives a width from netlist statistics and grows it on routing
     #: failure; ``"search"`` runs the paper's methodology exactly — a
@@ -771,12 +774,17 @@ def _run_dcs(
             ),
         )
         if options.tplace_refine:
+            # Only the wire-length combined placement annealed TPlace's
+            # own cost (plus its timing term when timed), so only it
+            # is worth refining; edge matching is topology-only, and
+            # its geometry gains from a full re-placement.
             tplace(
                 tunable,
                 arch,
                 seed=options.seed,
                 schedule=options.schedule(),
                 timing=timing,
+                refine=strategy == MergeStrategy.WIRE_LENGTH,
             )
     criticality = None
     if timing is not None:

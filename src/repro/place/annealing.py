@@ -28,7 +28,12 @@ Schedule (Betz & Rose, "VPR: A New Packing, Placement and Routing Tool
 for FPGA Research"):
 
 * initial temperature = 20 × the standard deviation of the cost change
-  over ``size()`` random moves;
+  over ``size()`` random moves, which are committed: the anneal starts
+  hot from a scrambled state and re-places from scratch;
+* a *refining* run (``anneal(..., refine=True)``) draws the same probe
+  moves but commits none and starts at :data:`REFINE_TEMP_FACTOR` ×
+  the deviation, so it improves the state it was given instead
+  (VPR offers the same cold start as ``--init_t``);
 * moves per temperature = ``inner_num * size() ** 4/3``;
 * temperature update factor chosen from the acceptance rate
   (0.5 / 0.9 / 0.95 / 0.8 bands);
@@ -42,6 +47,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional
+
+#: Start temperature of a refining run, in units of the probe's
+#: cost-change deviation.  Rule: of {0.1, 0.2, 0.5, 1.0}, the factor
+#: whose TPlace refinement of the wire-length combined placement left
+#: the fewest parameterised routing bits, summed over perfbench's
+#: ``fir`` and ``klut`` pools at seeds 101-102.  0.1 beat 0.2 by 1.0%
+#: there (and on each of six further pools: fir and klut at 103-104,
+#: fir-timed at 101-102); 0.5 and 1.0 left 4-5% more bits than 0.2.
+REFINE_TEMP_FACTOR = 0.1
 
 
 @dataclass
@@ -82,9 +96,14 @@ def _alpha(r_accept: float) -> float:
     return 0.8
 
 
-def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
-           ) -> AnnealingStats:
-    """Run adaptive simulated annealing on *problem*; returns stats."""
+def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None,
+           refine: bool = False) -> AnnealingStats:
+    """Run adaptive simulated annealing on *problem*; returns stats.
+
+    *refine* keeps the problem's starting state: the temperature probe
+    commits no move and the anneal starts cold (see the module
+    docstring).
+    """
     schedule = schedule or AnnealingSchedule()
     size = max(1, problem.size())
     cost = problem.initial_cost()
@@ -94,21 +113,26 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None
         schedule.min_moves, int(schedule.inner_num * size ** (4 / 3))
     )
 
-    # Initial temperature: perturb the placement with `size` random
-    # moves (all accepted) and measure the cost-change deviation.
+    # Initial temperature: measure the cost-change deviation of
+    # `size` random moves.  A hot start commits them all (scrambling
+    # the placement); a refining run only measures them.
     deltas = []
     for _ in range(size):
         move = problem.propose(rlim=float("inf"), rng=rng)
         if move is None:
             continue
         delta = problem.delta_cost(move)
-        problem.commit(move)
-        cost += delta
+        if not refine:
+            problem.commit(move)
+            cost += delta
         deltas.append(delta)
     if deltas:
         mean = sum(deltas) / len(deltas)
         variance = sum((d - mean) ** 2 for d in deltas) / len(deltas)
-        temperature = schedule.init_temp_factor * math.sqrt(variance)
+        factor = (
+            REFINE_TEMP_FACTOR if refine else schedule.init_temp_factor
+        )
+        temperature = factor * math.sqrt(variance)
     else:
         temperature = 1.0
     if temperature <= 0.0:

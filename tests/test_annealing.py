@@ -90,6 +90,32 @@ class TestAnnealingEdgeCases:
         )
         assert stats.n_temperatures <= 3
 
+    def test_refining_probe_commits_nothing(self):
+        """The temperature probe of a refining run only measures its
+        moves; a hot start commits every one of them."""
+        class Counting(_ZeroCostProblem):
+            def __init__(self):
+                super().__init__()
+                self.commits = 0
+
+            def delta_cost(self, move):
+                return 1.0
+
+            def commit(self, move):
+                self.commits += 1
+                self.cost += 1.0
+
+        schedule = AnnealingSchedule(max_temperatures=0)
+        cold = Counting()
+        stats = anneal(cold, make_rng(0), schedule, refine=True)
+        assert cold.commits == 0
+        assert stats.final_cost == stats.initial_cost
+
+        hot = Counting()
+        stats = anneal(hot, make_rng(0), schedule)
+        assert hot.commits == hot.size()
+        assert stats.final_cost == stats.initial_cost + hot.size()
+
     def test_schedule_defaults(self):
         schedule = AnnealingSchedule()
         assert schedule.inner_num == 1.0

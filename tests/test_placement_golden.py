@@ -7,7 +7,9 @@ the placers moved from ``Site``-keyed dicts to integer site and cell
 ids; the integer state must reproduce them bit for bit (same RNG call
 sequence, same float grouping, same set insertion order), so any
 drift in a placer's trajectory fails here, not only in the benchmark
-digest.
+digest.  The ``tplace-refine`` cases (TPlace starting cold from the
+wire-length combined placement) were recorded when that start was
+added.
 """
 
 import hashlib
@@ -100,7 +102,7 @@ def combined_case(strategy, timing):
     return digest(out)
 
 
-def tplace_case(randomize, timing):
+def tplace_case(randomize, timing, refine=False):
     out = []
     for family, seed in PAIRS:
         modes, arch = _pair(family, seed)
@@ -112,7 +114,7 @@ def tplace_case(randomize, timing):
             )
         stats = tplace(
             tunable, arch, seed=seed, schedule=SCHEDULE,
-            randomize=randomize, timing=timing,
+            randomize=randomize, timing=timing, refine=refine,
         )
         out.append((_tunable_sites(tunable), stats))
     return digest(out)
@@ -131,6 +133,9 @@ CASES = {
     "tplace-timed": lambda: tplace_case(False, TIMING),
     "tplace-randomized": lambda: tplace_case(True, None),
     "tplace-randomized-timed": lambda: tplace_case(True, TIMING),
+    "tplace-refine": lambda: tplace_case(False, None, refine=True),
+    "tplace-refine-timed": lambda: tplace_case(
+        False, TIMING, refine=True),
 }
 
 GOLDEN = {
@@ -157,6 +162,12 @@ GOLDEN = {
     ),
     "tplace-randomized-timed": (
         "52be180f71cf150e6f6e2ddec04ad0677e10f92fea4e1e51485ca1c69bf226ea"
+    ),
+    "tplace-refine": (
+        "a4a7ca1b0eda9e53433c15c91f6e1010b42b3fef01ba7291bf0de561c2350755"
+    ),
+    "tplace-refine-timed": (
+        "471a83d965a6c39f1f70c067fb40c50c9e18a0467ec7b8ab48385d09353487d2"
     ),
     "tplace-timed": (
         "a7f4ef32777745e9b0d55d51d24d93967f5e00ab3271d65deb53607a1723ad5a"

@@ -119,7 +119,7 @@ def _troute_runs(timing):
             len(modes),
             net_affinity=OPTIONS.net_affinity,
             bit_affinity=OPTIONS.bit_affinity,
-            sharing_passes=OPTIONS.sharing_passes,
+            sharing_passes=3,
             criticality=criticality if timing is not None else None,
             delay_model=timing.model if timing is not None else None,
         )
