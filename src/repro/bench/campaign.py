@@ -680,9 +680,11 @@ def qor_metrics(
     Wirelengths and the DCS parameterised routing bits are summed
     (regressions anywhere in the group move the total); Fmax,
     speed-up and the MDR:DCS frequency ratio are means over every
-    mode of every run.  Every DCS metric reads the same strategy: wire
-    length when the record has it.  A record without
-    ``routing_bits`` (hand-built in tests) counts 0 bits.
+    mode of every run.  Every ``dcs_*`` metric reads the same
+    strategy: wire length when the record has it.  ``em_param_bits``
+    sums edge matching's parameterised routing bits, so its QoR is
+    gated too; a record without that strategy, or without
+    ``routing_bits`` (hand-built in tests), counts 0 bits.
     """
     groups: Dict[str, Dict[str, list]] = {}
     for record in records:
@@ -691,8 +693,8 @@ def qor_metrics(
             key,
             {
                 "mdr_wl": [], "dcs_wl": [], "dcs_bits": [],
-                "speedup": [], "mdr_fmax": [], "dcs_fmax": [],
-                "freq_ratio": [],
+                "em_bits": [], "speedup": [], "mdr_fmax": [],
+                "dcs_fmax": [], "freq_ratio": [],
             },
         )
         group["mdr_wl"].extend(record["mdr"]["wirelength"])
@@ -702,6 +704,9 @@ def qor_metrics(
         )
         group["dcs_wl"].extend(dcs["wirelength"])
         group["dcs_bits"].append(dcs.get("routing_bits", 0))
+        group["em_bits"].append(
+            record["dcs"].get("edge_matching", {}).get("routing_bits", 0)
+        )
         group["dcs_fmax"].extend(dcs["fmax"])
         group["speedup"].append(dcs["speedup"])
         group["freq_ratio"].extend(dcs["frequency_ratios"])
@@ -715,6 +720,7 @@ def qor_metrics(
             "mdr_wirelength": sum(group["mdr_wl"]),
             "dcs_wirelength": sum(group["dcs_wl"]),
             "dcs_param_bits": sum(group["dcs_bits"]),
+            "em_param_bits": sum(group["em_bits"]),
             "mean_speedup": mean(group["speedup"]),
             "mean_mdr_fmax": mean(group["mdr_fmax"]),
             "mean_dcs_fmax": mean(group["dcs_fmax"]),
@@ -803,11 +809,13 @@ def compare_to_baseline(
     """QoR-gate check; returns violation messages (empty = pass).
 
     Only *regressions* fail: wirelength totals may not grow beyond
-    ``1 + wirelength`` of the baseline, the DCS parameterised-bit
-    total not beyond ``1 + param_bits``, mean Fmax / speed-up may not
-    drop below ``1 - fmax`` / ``1 - speedup``, and wall-clock may not
-    exceed ``runtime_factor`` times the baseline's.  Improvements (or
-    a shrunk runtime) pass — re-baseline to lock them in.
+    ``1 + wirelength`` of the baseline, the parameterised-bit totals
+    of both DCS strategies not beyond ``1 + param_bits``, mean Fmax /
+    speed-up may not drop below ``1 - fmax`` / ``1 - speedup``, and
+    wall-clock may not exceed ``runtime_factor`` times the
+    baseline's.  Improvements (or a shrunk runtime) pass — re-baseline
+    to lock them in.  A metric the baseline does not record (one
+    written before the metric existed) is not gated.
     """
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
@@ -833,7 +841,10 @@ def compare_to_baseline(
             ("mdr_wirelength", "wirelength"),
             ("dcs_wirelength", "wirelength"),
             ("dcs_param_bits", "param_bits"),
+            ("em_param_bits", "param_bits"),
         ):
+            if metric not in base:
+                continue
             limit = base[metric] * (1.0 + tol[key])
             if cur[metric] > limit:
                 # Identical modes leave a zero bit total to grow from.

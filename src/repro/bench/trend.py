@@ -80,6 +80,7 @@ TREND_METRICS: Dict[str, Tuple[str, bool]] = {
     "mdr_wirelength": ("wirelength", True),
     "dcs_wirelength": ("wirelength", True),
     "dcs_param_bits": ("param_bits", True),
+    "em_param_bits": ("param_bits", True),
     "mean_speedup": ("speedup", False),
     "mean_mdr_fmax": ("fmax", False),
     "mean_dcs_fmax": ("fmax", False),

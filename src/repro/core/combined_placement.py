@@ -28,9 +28,8 @@ fixed), either as a true refinement of its sites or as a re-placement
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.architecture import FpgaArchitecture, Site
 from repro.core.merge import MergeStrategy, merge_from_placement
@@ -165,13 +164,13 @@ class CombinedPlacementProblem(PlacementState):
             if sink != src:
                 self.conns_of_cell[sink].append(i)
         if strategy == MergeStrategy.EDGE_MATCHING:
-            # Multiset of site-level connections, each keyed
-            # ``src_site * n_sites + sink_site``, plus every
-            # connection's current key (commit decrements it).
-            self._conn_keys = [
-                self._conn_key(i) for i in range(len(self.conn_src))
-            ]
-            self._conn_count = Counter(self._conn_keys)
+            # Multiset of site-level connections (key -> copies), each
+            # keyed ``src_site * n_sites + sink_site``, plus every
+            # connection's current key (the keys a move leaves).
+            self._conn_keys = self._site_keys(range(len(self.conn_src)))
+            self._conn_count: Dict[int, int] = {}
+            for key in self._conn_keys:
+                self._conn_count[key] = self._conn_count.get(key, 0) + 1
 
         # -- timing term (wire-length strategy only) --------------------------
         self._bind_timing(timing, [
@@ -188,20 +187,13 @@ class CombinedPlacementProblem(PlacementState):
             return self._pad_id[pad_cell(cell)]
         return self._block_id[(mode, cell)]
 
-    def _conn_key(self, index: int) -> int:
-        site_of = self.site_of
-        return (
-            site_of[self.conn_src[index]] * self.n_sites
-            + site_of[self.conn_snk[index]]
-        )
-
     # -- annealing interface -------------------------------------------------
 
     def edge_matching_cost(self) -> float:
         """Number of distinct tunable connections after merging."""
-        return float(len({
-            self._conn_key(i) for i in range(len(self.conn_src))
-        }))
+        return float(len(set(
+            self._site_keys(range(len(self.conn_src)))
+        )))
 
     def initial_cost(self) -> float:
         if self.strategy == MergeStrategy.WIRE_LENGTH:
@@ -218,19 +210,22 @@ class CombinedPlacementProblem(PlacementState):
         cell, src, dst = move
         other = self.cell_at[self.layer_base[cell] + dst]
         affected = self._affected_conns(cell, other)
-        conn_key = self._conn_key
-        site_of = self.site_of
+        conn_keys = self._conn_keys
         left: Dict[int, int] = {}
         for i in affected:
-            key = conn_key(i)
+            key = conn_keys[i]
             left[key] = left.get(key, 0) + 1
+        site_of = self.site_of
         site_of[cell] = dst
         if other >= 0:
             site_of[other] = src
-        arrived = {conn_key(i) for i in affected}
+        new_keys = self._site_keys(affected)
         site_of[cell] = src
         if other >= 0:
             site_of[other] = dst
+        # Remembered so commit() of this same move reuses the keys.
+        self._pending = (move, affected, new_keys)
+        arrived = set(new_keys)
         count = self._conn_count
         delta = 0
         for key, n in left.items():
@@ -241,11 +236,26 @@ class CombinedPlacementProblem(PlacementState):
                 delta += 1
         return float(delta)
 
-    def _affected_conns(self, cell: int, other: int) -> Set[int]:
+    def _affected_conns(self, cell: int, other: int) -> Sequence[int]:
+        """Connections of the moved cells, each once (a lone cell's
+        list is duplicate-free as built)."""
+        if other < 0:
+            return self.conns_of_cell[cell]
         conns = set(self.conns_of_cell[cell])
-        if other >= 0:
-            conns.update(self.conns_of_cell[other])
+        conns.update(self.conns_of_cell[other])
         return conns
+
+    def _site_keys(self, conns: Sequence[int]) -> List[int]:
+        """The site-level keys of *conns* at the current sites,
+        ``src_site * n_sites + sink_site``."""
+        site_of = self.site_of
+        conn_src = self.conn_src
+        conn_snk = self.conn_snk
+        n_sites = self.n_sites
+        return [
+            site_of[conn_src[i]] * n_sites + site_of[conn_snk[i]]
+            for i in conns
+        ]
 
     def commit(self, move: Move) -> None:
         if self.strategy == MergeStrategy.WIRE_LENGTH:
@@ -254,17 +264,24 @@ class CombinedPlacementProblem(PlacementState):
         # Edge matching anneals on the connection count alone; the
         # net costs are recounted when the result is read.
         other = self._apply(move)
+        pending = self._pending
+        self._pending = None
+        if pending is not None and pending[0] is move:
+            _, affected, new_keys = pending
+        else:
+            affected = self._affected_conns(move[0], other)
+            new_keys = self._site_keys(affected)
         count = self._conn_count
         conn_keys = self._conn_keys
-        affected = self._affected_conns(move[0], other)
         for i in affected:
             key = conn_keys[i]
-            count[key] -= 1
-            if not count[key]:
+            n = count[key] - 1
+            if n:
+                count[key] = n
+            else:
                 del count[key]
-        for i in affected:
-            key = self._conn_key(i)
-            count[key] += 1
+        for i, key in zip(affected, new_keys):
+            count[key] = count.get(key, 0) + 1
             conn_keys[i] = key
 
     # -- results -----------------------------------------------------------

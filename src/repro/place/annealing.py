@@ -118,7 +118,7 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None,
     # the placement); a refining run only measures them.
     deltas = []
     for _ in range(size):
-        move = problem.propose(rlim=float("inf"), rng=rng)
+        move = problem.propose(float("inf"), rng)
         if move is None:
             continue
         delta = problem.delta_cost(move)
@@ -162,7 +162,7 @@ def anneal(problem, rng, schedule: Optional[AnnealingSchedule] = None,
         accepted = 0
         attempted = 0
         for _ in range(moves_per_temp):
-            move = propose(rlim=rlim, rng=rng)
+            move = propose(rlim, rng)
             if move is None:
                 continue
             attempted += 1

@@ -18,7 +18,7 @@ from repro.arch.architecture import FpgaArchitecture, Site
 from repro.netlist.lutcircuit import LutCircuit
 from repro.place.annealing import AnnealingSchedule, AnnealingStats, anneal
 from repro.place.cost import net_bounding_box_cost
-from repro.place.state import PlacementState
+from repro.place.state import PlacementState, randbelow
 from repro.utils.rng import make_rng
 
 
@@ -149,11 +149,16 @@ class _SinglePlacementProblem(PlacementState):
         )
         if not pool:
             pool = self.logic_pool or self.pad_pool
+        getrandbits = rng.getrandbits
         return self._propose_site(
-            pool[rng.randrange(len(pool))], rlim, rng
+            pool[randbelow(getrandbits, len(pool))], rlim, getrandbits
         )
 
     def _affected_nets(self, cell: int, other: int) -> List[int]:
+        # A lone cell's net list is ascending and duplicate-free, so
+        # it is already what sorting its set would give.
+        if other < 0:
+            return self.nets_of_cell[cell]
         return sorted(super()._affected_nets(cell, other))
 
     def placement(self, stats: AnnealingStats) -> Placement:

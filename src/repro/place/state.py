@@ -27,9 +27,13 @@ boundary: initial sites read from a Tunable circuit, and the results.
 with committed digests.  Three things decide them beyond the cost
 arithmetic, so a change to any of them changes every placement:
 
-* RNG calls: the sequence of ``shuffle``/``random``/``randrange``
-  calls and their arguments (a site draw is ``first + randrange(n)``
-  over one site kind's contiguous id range);
+* RNG calls: the sequence of ``shuffle``/``random``/``getrandbits``
+  calls and their arguments.  Cell and site draws go through
+  :func:`randbelow`, which makes ``randrange(n)``'s ``getrandbits``
+  calls itself: the stream is the one ``randrange`` draws, but it no
+  longer depends on how ``randrange`` is implemented (a site draw is
+  ``first + randbelow(getrandbits, n)`` over one site kind's
+  contiguous id range);
 * float grouping: a move's before-cost is one ``sum()`` and its
   after-cost a running ``+=``, in the net order below;
 * set order: TPlace and the combined placement iterate the
@@ -40,13 +44,32 @@ arithmetic, so a change to any of them changes every placement:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.arch.architecture import FpgaArchitecture, Site
 from repro.place.cost import bounding_box_cost, q_factor
 
 #: ``(cell, src site, dst site)``.
 Move = Tuple[int, int, int]
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform draw from ``range(n)`` by CPython's own rule for
+    ``randrange(n)`` (``Random._randbelow_with_getrandbits``): draw
+    ``n.bit_length()`` bits until the value is below *n*.
+
+    *getrandbits* is the RNG's bound ``getrandbits`` method, so the
+    RNG stream is exactly the one ``rng.randrange(n)`` consumes.  Like
+    ``randrange``, it raises ``ValueError`` for ``n < 1``
+    (``getrandbits(0)`` is 0, which would never fall below *n*).
+    """
+    if n < 1:
+        raise ValueError(f"empty range for randbelow(): {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class PlacementState:
@@ -183,13 +206,15 @@ class PlacementState:
     def propose(self, rlim: float, rng) -> Optional[Move]:
         """Pick a logic cell or a pad, then a site within *rlim*."""
         logic = self.logic_pool
-        if rng.randrange(len(logic) + len(self.pad_pool)) < len(logic):
-            cell = logic[rng.randrange(len(logic))]
+        pads = self.pad_pool
+        getrandbits = rng.getrandbits
+        if randbelow(getrandbits, len(logic) + len(pads)) < len(logic):
+            cell = logic[randbelow(getrandbits, len(logic))]
         else:
-            cell = self.pad_pool[rng.randrange(len(self.pad_pool))]
-        return self._propose_site(cell, rlim, rng)
+            cell = pads[randbelow(getrandbits, len(pads))]
+        return self._propose_site(cell, rlim, getrandbits)
 
-    def _propose_site(self, cell: int, rlim: float, rng
+    def _propose_site(self, cell: int, rlim: float, getrandbits
                       ) -> Optional[Move]:
         """Up to eight draws of a same-kind site within *rlim*."""
         src = self.site_of[cell]
@@ -202,7 +227,7 @@ class PlacementState:
         x = site_x[src]
         y = site_y[src]
         for _ in range(8):
-            dst = first + rng.randrange(count)
+            dst = first + randbelow(getrandbits, count)
             if dst == src:
                 continue
             if abs(site_x[dst] - x) > rlim or abs(site_y[dst] - y) > rlim:
@@ -229,11 +254,13 @@ class PlacementState:
         net_cost = self.net_cost
         before = sum([net_cost[i] for i in affected])
         timing = self._timing
+        t_affected = t_evaluated = None
         if timing is not None:
             t_affected = timing.conns_of(self._moved(cell, other))
             t_before = timing.weighted(t_affected)
         # Tentatively move, evaluate, revert — remembering the
-        # after-costs so commit() of this same move reuses them.
+        # after-costs, aligned with *affected*'s iteration, so commit()
+        # of this same move reuses them.
         site_of = self.site_of
         site_of[cell] = dst
         if other >= 0:
@@ -242,22 +269,24 @@ class PlacementState:
         net_q = self.net_q
         site_x = self.site_x
         site_y = self.site_y
-        evaluated: Dict[int, float] = {}
+        evaluated: List[float] = []
+        append = evaluated.append
         after = 0.0
         for i in affected:
             cost = bounding_box_cost(
                 nets[i], net_q[i], site_of, site_x, site_y
             )
-            evaluated[i] = cost
+            append(cost)
             after += cost
-        t_evaluated = None
         if timing is not None:
             t_evaluated = timing.eval_conns(t_affected)
-            t_after = timing.weighted_eval(t_evaluated)
+            t_after = timing.weighted_eval(t_affected, t_evaluated)
         site_of[cell] = src
         if other >= 0:
             site_of[other] = dst
-        self._pending = (move, evaluated, t_evaluated)
+        self._pending = (
+            move, affected, evaluated, t_affected, t_evaluated
+        )
         if timing is None:
             return after - before
         return (
@@ -281,24 +310,22 @@ class PlacementState:
 
     def commit(self, move: Move) -> None:
         other = self._apply(move)
-        cell = move[0]
         pending = self._pending
         self._pending = None
-        if pending is not None and pending[0] is move:
-            evaluated, t_evaluated = pending[1], pending[2]
-        else:
-            evaluated = {
-                i: self._net_cost(i)
-                for i in self._affected_nets(cell, other)
-            }
-            t_evaluated = None
-        net_cost = self.net_cost
-        for i, cost in evaluated.items():
-            net_cost[i] = cost
         timing = self._timing
+        if pending is not None and pending[0] is move:
+            _, affected, evaluated, t_affected, t_evaluated = pending
+        else:
+            # Not the move delta_cost() last evaluated: re-evaluate
+            # at the committed sites.
+            cell = move[0]
+            affected = self._affected_nets(cell, other)
+            evaluated = [self._net_cost(i) for i in affected]
+            if timing is not None:
+                t_affected = timing.conns_of(self._moved(cell, other))
+                t_evaluated = timing.eval_conns(t_affected)
+        net_cost = self.net_cost
+        for i, cost in zip(affected, evaluated):
+            net_cost[i] = cost
         if timing is not None:
-            if t_evaluated is None:
-                t_evaluated = timing.eval_conns(
-                    timing.conns_of(self._moved(cell, other))
-                )
-            timing.commit(t_evaluated)
+            timing.commit(t_affected, t_evaluated)

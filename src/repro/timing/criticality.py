@@ -331,8 +331,10 @@ class PlacementTimingCost:
 
     * delays are maintained **incrementally per move** — the owning
       problem evaluates only the connections its moved cells touch
-      (:meth:`eval_conns` inside the tentatively-applied window) and
-      commits the evaluated values (:meth:`commit`);
+      (:meth:`conns_of` gives their indices, :meth:`eval_conns` their
+      delays inside the tentatively-applied window, as a list aligned
+      with the indices) and commits the evaluated list with its
+      indices (:meth:`commit`);
     * criticalities are refreshed **once per temperature**
       (:meth:`refresh_criticalities` — a full STA per mode over the
       cached delays, O(V + E), cheap next to a temperature's worth of
@@ -401,19 +403,26 @@ class PlacementTimingCost:
         self._delay_at = [
             self.model.connection_delay(d) for d in range(span + 1)
         ]
-        self.delay = list(
-            self.eval_conns(range(len(self._src_keys))).values()
-        )
+        self.delay = self.eval_conns(range(len(self._src_keys)))
         self.weight = [0.0] * len(self.delay)
         self.refresh_criticalities()
 
     # -- incremental cost ---------------------------------------------------
 
-    def conns_of(self, keys: Sequence[Any]) -> List[int]:
-        """Sorted connection indices incident to any of *keys*."""
+    def conns_of(self, keys: Sequence[Any]) -> Sequence[int]:
+        """Ascending, duplicate-free connection indices incident to
+        any of *keys*.
+
+        One key's list is returned as stored, not copied: it is built
+        in ascending index order, so sorting it would not change it.
+        Callers must not modify the result.
+        """
+        conns_of_key = self.conns_of_key
+        if len(keys) == 1:
+            return conns_of_key.get(keys[0], ())
         affected: set = set()
         for key in keys:
-            affected.update(self.conns_of_key.get(key, ()))
+            affected.update(conns_of_key.get(key, ()))
         return sorted(affected)
 
     def weighted(self, indices: Sequence[int]) -> float:
@@ -422,13 +431,13 @@ class PlacementTimingCost:
         weight = self.weight
         return sum([weight[i] * delay[i] for i in indices])
 
-    def eval_conns(self, indices: Sequence[int]
-                   ) -> Dict[int, float]:
-        """Delays of *indices* at the problem's *current* sites.
+    def eval_conns(self, indices: Sequence[int]) -> List[float]:
+        """Delays of *indices* at the problem's *current* sites, as a
+        list aligned with *indices*.
 
-        Call while a move is tentatively applied; pass the result to
-        :meth:`weighted_eval` for the after-cost and to :meth:`commit`
-        when the move is accepted.
+        Call while a move is tentatively applied; pass *indices* and
+        the result to :meth:`weighted_eval` for the after-cost and to
+        :meth:`commit` when the move is accepted.
         """
         site_of = self._site_of
         site_x = self._site_x
@@ -436,25 +445,30 @@ class PlacementTimingCost:
         delay_at = self._delay_at
         src_keys = self._src_keys
         snk_keys = self._snk_keys
-        evaluated = {}
+        delays: List[float] = []
+        append = delays.append
         for i in indices:
             a = site_of[src_keys[i]]
             b = site_of[snk_keys[i]]
-            evaluated[i] = delay_at[
+            append(delay_at[
                 abs(site_x[a] - site_x[b]) + abs(site_y[a] - site_y[b])
-            ]
-        return evaluated
+            ])
+        return delays
 
-    def weighted_eval(self, evaluated: Mapping[int, float]) -> float:
+    def weighted_eval(self, indices: Sequence[int],
+                      delays: Sequence[float]) -> float:
+        """Weighted cost of *indices* at the evaluated *delays*."""
         weight = self.weight
-        return sum([weight[i] * d for i, d in evaluated.items()])
+        return sum([weight[i] * d for i, d in zip(indices, delays)])
 
-    def commit(self, evaluated: Mapping[int, float]) -> None:
-        """Fold evaluated delays into the cache and the running cost."""
+    def commit(self, indices: Sequence[int],
+               delays: Sequence[float]) -> None:
+        """Fold evaluated *delays* of *indices* into the cache and the
+        running cost."""
         delay = self.delay
         weight = self.weight
         cost = self.cost
-        for i, d in evaluated.items():
+        for i, d in zip(indices, delays):
             cost += weight[i] * (d - delay[i])
             delay[i] = d
         self.cost = cost

@@ -346,6 +346,24 @@ class TestQorGate:
         assert violations
         assert any("mdr_wirelength" in v for v in violations)
 
+    def test_gate_fails_on_edge_matching_bits(self, tiny_outcome):
+        """Edge matching's parameterised bits are gated at the
+        param_bits tolerance (+1%); a baseline written before the
+        metric existed does not gate it."""
+        _cache, result = tiny_outcome
+        baseline = baseline_from_summary(result.summary)
+        base = baseline["qor"]["klut/wirelength"]
+        assert base["em_param_bits"] > 0
+        worse = copy.deepcopy(result.summary)
+        worse["qor"]["klut/wirelength"]["em_param_bits"] = int(
+            base["em_param_bits"] * 1.02
+        ) + 1
+        violations = compare_to_baseline(worse, baseline)
+        assert len(violations) == 1
+        assert "em_param_bits" in violations[0]
+        del base["em_param_bits"]
+        assert compare_to_baseline(worse, baseline) == []
+
     def test_gate_fails_on_fmax_and_speedup_drops(self, tiny_outcome):
         _cache, result = tiny_outcome
         baseline = baseline_from_summary(result.summary)
@@ -455,6 +473,33 @@ class TestQorMetrics:
         assert metrics["a/wl"]["mdr_wirelength"] == 600
         assert metrics["a/wl"]["mean_mdr_fmax"] == pytest.approx(0.3)
         assert metrics["a/wl"]["n_runs"] == 2
+
+    def test_param_bits_per_strategy(self):
+        """``dcs_param_bits`` sums the wire-length strategy's bits and
+        ``em_param_bits`` edge matching's; a record without edge
+        matching counts 0 of the latter."""
+        def strategy(bits):
+            return {
+                "wirelength": [10], "fmax": [0.1], "speedup": 4.0,
+                "frequency_ratios": [1.0], "routing_bits": bits,
+            }
+
+        def record(dcs):
+            return {
+                "suite": "a", "variant": "wl",
+                "mdr": {"wirelength": [10], "fmax": [0.1]},
+                "dcs": dcs,
+            }
+
+        metrics = qor_metrics([
+            record({"wire_length": strategy(7),
+                    "edge_matching": strategy(11)}),
+            record({"wire_length": strategy(5),
+                    "edge_matching": strategy(13)}),
+            record({"wire_length": strategy(3)}),
+        ])["a/wl"]
+        assert metrics["dcs_param_bits"] == 15
+        assert metrics["em_param_bits"] == 24
 
 
 class TestCampaignCli:

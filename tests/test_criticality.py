@@ -176,7 +176,7 @@ class TestPlacementTimingCost:
         site_of["z"] = len(xs) - 1
         touched = cost.conns_of(["z"])
         assert touched
-        cost.commit(cost.eval_conns(touched))
+        cost.commit(touched, cost.eval_conns(touched))
         # The running cost equals a from-scratch weighted sum.
         fresh = cost.eval_conns(range(len(cost.weight)))
         assert cost.cost == pytest.approx(
@@ -185,7 +185,7 @@ class TestPlacementTimingCost:
         assert cost.cost > before
         # Delays come from the delay model at Manhattan distance.
         model = config.model
-        for i, delay in fresh.items():
+        for i, delay in enumerate(fresh):
             assert delay == cost.delay[i]
         z = site_of["z"]
         for i in touched:
